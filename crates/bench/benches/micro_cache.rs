@@ -26,8 +26,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph, GraphId};
-use sqbench_harness::service::{CachePolicy, QueryService, ServiceOptions};
-use sqbench_index::{build_index, MethodConfig, MethodKind};
+use sqbench_harness::service::{CachePolicy, ServiceOptions, ShardedService};
+use sqbench_index::{MethodConfig, MethodKind};
 
 const UNIVERSE: usize = 2_000;
 const POOL: usize = 12;
@@ -87,25 +87,25 @@ fn zipf_workload(dataset: &Dataset) -> Vec<Graph> {
     queries
 }
 
-/// One closed batch; answer counts only — the value the timed loops fold.
-fn run_batch(service: &mut QueryService, queries: &[&Graph]) -> usize {
+/// One closed wave; answer counts only — the value the timed loops fold.
+fn run_wave(service: &mut ShardedService, queries: &[&Graph]) -> usize {
     service
-        .run_batch(queries, None)
+        .run_wave(queries, None)
         .records
         .iter()
-        .map(|r| r.as_ref().map_or(0, |rec| rec.answers.len()))
+        .map(|r| r.answers.len())
         .sum()
 }
 
-/// One closed batch keeping the full answer id lists — what the
+/// One closed wave keeping the full answer id lists — what the
 /// correctness gate compares, so a stale cache entry that returns the
 /// right *number* of wrong graph ids cannot slip past it.
-fn gate_batch(service: &mut QueryService, queries: &[&Graph]) -> Vec<Vec<GraphId>> {
+fn gate_wave(service: &mut ShardedService, queries: &[&Graph]) -> Vec<Vec<GraphId>> {
     service
-        .run_batch(queries, None)
+        .run_wave(queries, None)
         .records
         .iter()
-        .map(|r| r.as_ref().expect("query completed").answers.clone())
+        .map(|r| r.answers.clone())
         .collect()
 }
 
@@ -115,22 +115,13 @@ fn bench_cache(c: &mut Criterion) {
     let queries = zipf_workload(&dataset);
     let refs: Vec<&Graph> = queries.iter().collect();
 
-    // Two indexes per method (the services borrow them), built up front so
-    // they outlive the timed loops.
-    let indexes: Vec<_> = METHODS
-        .iter()
-        .map(|&kind| {
-            (
-                build_index(kind, &config, &dataset),
-                build_index(kind, &config, &dataset),
-            )
-        })
-        .collect();
+    // Two one-shard services per method, each over its own index.
     let mut services = Vec::new();
-    for (kind, (cold_index, warm_index)) in METHODS.iter().copied().zip(&indexes) {
-        let mut cold = QueryService::new(&**cold_index, &dataset, ServiceOptions::new());
-        let mut warm = QueryService::new(
-            &**warm_index,
+    for kind in METHODS {
+        let mut cold = ShardedService::new(kind, &config, &dataset, ServiceOptions::new());
+        let mut warm = ShardedService::new(
+            kind,
+            &config,
             &dataset,
             ServiceOptions::new().cache(CachePolicy::enabled()),
         );
@@ -138,9 +129,9 @@ fn bench_cache(c: &mut Criterion) {
         // Prime the caches, then gate: the warm batch below is served
         // substantially from the answer memo, and its answers must still
         // be bit-identical to the cache-disabled service's.
-        gate_batch(&mut warm, &refs);
-        let cold_answers = gate_batch(&mut cold, &refs);
-        let warm_answers = gate_batch(&mut warm, &refs);
+        gate_wave(&mut warm, &refs);
+        let cold_answers = gate_wave(&mut cold, &refs);
+        let warm_answers = gate_wave(&mut warm, &refs);
         assert_eq!(
             cold_answers,
             warm_answers,
@@ -165,12 +156,12 @@ fn bench_cache(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("{name}_cold"), UNIVERSE),
             &refs,
-            |b, refs| b.iter(|| run_batch(cold, refs)),
+            |b, refs| b.iter(|| run_wave(cold, refs)),
         );
         group.bench_with_input(
             BenchmarkId::new(format!("{name}_warm"), UNIVERSE),
             &refs,
-            |b, refs| b.iter(|| run_batch(warm, refs)),
+            |b, refs| b.iter(|| run_wave(warm, refs)),
         );
     }
     group.finish();

@@ -1,4 +1,4 @@
-//! Raw-speed A/B micro-benchmarks of the four filter/verify hot-loop
+//! Raw-speed A/B micro-benchmarks of the filter/verify hot-loop
 //! optimisations, each timed against the implementation it replaced:
 //!
 //! * `hotloop_intersect` — the 4×u64 wide intersection/mask kernels of
@@ -9,13 +9,9 @@
 //!   the unordered arrival-order fold;
 //! * `hotloop_vf2_order` — generic VF2 under the rarity/degree static
 //!   matching order ([`OrderPolicy::RarityDegree`], the new default) vs the
-//!   legacy placed-neighbors order ([`OrderPolicy::PlacedNeighbors`]);
-//! * `hotloop_routing` — sharded waves under fingerprint-sharpened routing
-//!   ([`RoutingMode::SynopsisFingerprint`]) vs the bound checks alone
-//!   ([`RoutingMode::Synopsis`]), on a workload whose decoy shards
-//!   the bounds admit but the path-fingerprint content refutes.
+//!   legacy placed-neighbors order ([`OrderPolicy::PlacedNeighbors`]).
 //!
-//! A fifth group, `gallop_crossover`, measures where galloping intersection
+//! A fourth group, `gallop_crossover`, measures where galloping intersection
 //! overtakes the linear merge across size-skew ratios — the measurement
 //! behind [`sqbench_index::candidates::GALLOP_CROSSOVER`].
 //!
@@ -27,8 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
-use sqbench_graph::{Dataset, Graph, GraphBuilder, GraphId};
-use sqbench_harness::service::{RoutingMode, ServiceOptions, ShardedService};
+use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_index::candidates::{
     intersect_gallop, intersect_posting, CandidateSet, Tombstones, GALLOP_CROSSOVER,
 };
@@ -126,94 +121,6 @@ fn vf2_dataset() -> Dataset {
 /// verdicts (the gate compares these across order policies).
 fn scan_verify(matcher: &Vf2Matcher<'_>, dataset: &Dataset) -> Vec<bool> {
     dataset.iter().map(|(_, g)| matcher.matches(g)).collect()
-}
-
-// ------------------------------------------------------------------ routing
-
-const ROUTE_SHARDS: usize = 4;
-const ROUTE_FAMILY_GRAPHS: usize = 300;
-
-/// A connected chain over `palette`, cycling to `len` vertices.
-fn chain_graph(name: String, palette: &[u32], len: usize) -> Graph {
-    let labels: Vec<u32> = (0..len).map(|i| palette[i % palette.len()]).collect();
-    let edges: Vec<(usize, usize)> = (1..len).map(|i| (i - 1, i)).collect();
-    GraphBuilder::new(name)
-        .vertices(&labels)
-        .edges(&edges)
-        .build()
-        .unwrap()
-}
-
-/// A decoy with the *same* label counts and edge label pairs as the chain —
-/// every chain edge becomes a disconnected two-vertex edge — plus two
-/// degree-3 hubs so the cumulative degree histogram dominates small chain
-/// queries too. Bound synopses admit chain queries against it; no path of
-/// two or more edges from the chain exists in it, so the shard's path
-/// fingerprint refutes them.
-fn decoy_graph(name: String, palette: &[u32], len: usize) -> Graph {
-    let chain_labels: Vec<u32> = (0..len).map(|i| palette[i % palette.len()]).collect();
-    let mut labels: Vec<u32> = Vec::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for w in chain_labels.windows(2) {
-        let base = labels.len();
-        labels.extend([w[0], w[1]]);
-        edges.push((base, base + 1));
-    }
-    // Two hubs: hub label deliberately outside the palette (label 100+),
-    // so the hub's own edges add no chain-relevant label pairs.
-    for hub in 0..2 {
-        let base = labels.len();
-        labels.extend([100 + hub, 100 + hub, 100 + hub, 100 + hub]);
-        edges.extend([(base, base + 1), (base, base + 2), (base, base + 3)]);
-    }
-    GraphBuilder::new(name)
-        .vertices(&labels)
-        .edges(&edges)
-        .build()
-        .unwrap()
-}
-
-/// Four interleaved families over two label palettes: shard 0 hosts
-/// palette-A chains, shard 1 palette-A decoys, shards 2/3 the same for
-/// palette B (round-robin placement keeps each family on its own shard).
-/// Chain queries are bounds-admitted by both their palette's shards but
-/// fingerprint-admitted only by the chain shard.
-fn routing_dataset() -> Dataset {
-    const PALETTE_A: [u32; 5] = [0, 1, 2, 3, 4];
-    const PALETTE_B: [u32; 5] = [5, 6, 7, 8, 9];
-    let mut graphs = Vec::new();
-    for i in 0..ROUTE_FAMILY_GRAPHS {
-        let len = 4 + i % 4;
-        graphs.push(chain_graph(format!("a-chain-{i}"), &PALETTE_A, len));
-        graphs.push(decoy_graph(format!("a-decoy-{i}"), &PALETTE_A, len));
-        graphs.push(chain_graph(format!("b-chain-{i}"), &PALETTE_B, len));
-        graphs.push(decoy_graph(format!("b-decoy-{i}"), &PALETTE_B, len));
-    }
-    Dataset::from_graphs("hotloop-routing", graphs)
-}
-
-fn routing_queries() -> Vec<Graph> {
-    let mut queries = Vec::new();
-    for palette in [[0u32, 1, 2, 3, 4], [5, 6, 7, 8, 9]] {
-        for start in 0..3 {
-            let labels: Vec<u32> = palette[start..start + 3].to_vec();
-            let edges = [(0usize, 1usize), (1, 2)];
-            queries.push(
-                GraphBuilder::new(format!("q-{}-{start}", palette[0]))
-                    .vertices(&labels)
-                    .edges(&edges)
-                    .build()
-                    .unwrap(),
-            );
-        }
-    }
-    queries
-}
-
-fn wave_answers(service: &mut ShardedService, queries: &[&Graph]) -> (Vec<Vec<GraphId>>, u64) {
-    let report = service.run_wave(queries, None);
-    let answers = report.records.iter().map(|r| r.answers.clone()).collect();
-    (answers, report.shards_probed())
 }
 
 // --------------------------------------------------------------------- main
@@ -366,69 +273,6 @@ fn bench_hotloops(c: &mut Criterion) {
     );
     group.finish();
 
-    // ---- Axis 4: bounds-only vs fingerprint-sharpened routing.
-    let route_ds = routing_dataset();
-    let route_queries = routing_queries();
-    let route_refs: Vec<&Graph> = route_queries.iter().collect();
-    // Scan is the method here on purpose: its per-shard probe cost is the
-    // full verification sweep, so the bench measures what a wasted probe of
-    // a bounds-admitted decoy shard actually costs when the index cannot
-    // refute it cheaply (an indexed method's trie miss would mask the
-    // routing win on this adversarial workload).
-    let route_config = MethodConfig::fast();
-    let mut bounds_svc = ShardedService::new(
-        MethodKind::Scan,
-        &route_config,
-        &route_ds,
-        ServiceOptions::new()
-            .shards(ROUTE_SHARDS)
-            .routing(RoutingMode::Synopsis),
-    );
-    let mut fp_svc = ShardedService::new(
-        MethodKind::Scan,
-        &route_config,
-        &route_ds,
-        ServiceOptions::new()
-            .shards(ROUTE_SHARDS)
-            .routing(RoutingMode::SynopsisFingerprint),
-    );
-    let mut fanout_svc = ShardedService::new(
-        MethodKind::Scan,
-        &route_config,
-        &route_ds,
-        ServiceOptions::new().shards(ROUTE_SHARDS),
-    );
-    let (fanout_answers, _) = wave_answers(&mut fanout_svc, &route_refs);
-    let (bounds_answers, bounds_probes) = wave_answers(&mut bounds_svc, &route_refs);
-    let (fp_answers, fp_probes) = wave_answers(&mut fp_svc, &route_refs);
-    assert_eq!(
-        fanout_answers, bounds_answers,
-        "bounds routing changed a match set"
-    );
-    assert_eq!(
-        fanout_answers, fp_answers,
-        "fingerprint routing changed a match set"
-    );
-    assert!(
-        fp_probes < bounds_probes,
-        "fingerprints probed {fp_probes} of bounds' {bounds_probes} — decoys not refuted"
-    );
-    let mut group = c.benchmark_group("hotloop_routing");
-    group.sample_size(15);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.bench_with_input(
-        BenchmarkId::new("bounds_only", route_ds.len()),
-        &route_refs,
-        |b, refs| b.iter(|| bounds_svc.run_wave(refs, None).records.len()),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("fingerprint", route_ds.len()),
-        &route_refs,
-        |b, refs| b.iter(|| fp_svc.run_wave(refs, None).records.len()),
-    );
-    group.finish();
-
     // ---- Gallop crossover measurement (the GALLOP_CROSSOVER constant).
     let mut group = c.benchmark_group("gallop_crossover");
     group.sample_size(20);
@@ -472,11 +316,6 @@ fn bench_hotloops(c: &mut Criterion) {
             "vf2 order",
             format!("hotloop_vf2_order/placed_neighbors/{}", vf2_ds.len()),
             format!("hotloop_vf2_order/rarity_degree/{}", vf2_ds.len()),
-        ),
-        (
-            "routing",
-            format!("hotloop_routing/bounds_only/{}", route_ds.len()),
-            format!("hotloop_routing/fingerprint/{}", route_ds.len()),
         ),
     ];
     for (name, before, after) in &pairs {

@@ -1,13 +1,12 @@
-//! Throughput micro-benchmark of the batch query service over a 10k-graph
-//! synthetic dataset.
+//! Throughput micro-benchmark of the query service's worker pool over a
+//! 10k-graph synthetic dataset.
 //!
-//! Three execution modes serve the same workload against the same GGSX
-//! index:
+//! Three execution modes serve the same workload over GGSX:
 //!
 //! * `oneshot`  — the pre-service loop: one `index.query()` per query,
 //!   fresh candidate allocations each time;
-//! * `workers1` — the service's single-worker pipeline (arena reuse, no
-//!   per-query candidate `Vec`);
+//! * `workers1` — a one-shard service with a single-worker pipeline
+//!   (arena reuse, no per-query candidate `Vec`);
 //! * `workers4` — the pipelined 4-worker pool (filter of one query
 //!   overlapping verification of another, work stealing between workers).
 //!
@@ -21,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph};
-use sqbench_harness::service::{QueryService, ServiceOptions};
+use sqbench_harness::service::{ServiceOptions, ShardedService};
 use sqbench_index::{build_index, GraphIndex, MethodConfig, MethodKind};
 
 const UNIVERSE: usize = 10_000;
@@ -55,14 +54,24 @@ fn run_oneshot(index: &dyn GraphIndex, dataset: &Dataset, queries: &[&Graph]) ->
         .collect()
 }
 
-/// One service batch; returns per-query answer counts.
-fn run_service(service: &mut QueryService<'_>, queries: &[&Graph]) -> Vec<usize> {
+/// One service wave; returns per-query answer counts.
+fn run_service(service: &mut ShardedService, queries: &[&Graph]) -> Vec<usize> {
     service
-        .run_batch(queries, None)
+        .run_wave(queries, None)
         .records
         .iter()
-        .map(|r| r.as_ref().expect("no deadline set").answer_count())
+        .map(|r| r.answer_count())
         .collect()
+}
+
+/// A one-shard GGSX service over the whole dataset with `workers` workers.
+fn one_shard(dataset: &Dataset, workers: usize) -> ShardedService {
+    ShardedService::new(
+        MethodKind::Ggsx,
+        &MethodConfig::default(),
+        dataset,
+        ServiceOptions::new().shards(1).workers(workers),
+    )
 }
 
 fn bench_service(c: &mut Criterion) {
@@ -74,8 +83,8 @@ fn bench_service(c: &mut Criterion) {
     // Correctness gate before any timing: all three modes must return the
     // same per-query match counts ("matches the serial runner exactly").
     let oneshot_counts = run_oneshot(&*index, &dataset, &refs);
-    let mut serial_service = QueryService::new(&*index, &dataset, ServiceOptions::new().workers(1));
-    let mut pooled_service = QueryService::new(&*index, &dataset, ServiceOptions::new().workers(4));
+    let mut serial_service = one_shard(&dataset, 1);
+    let mut pooled_service = one_shard(&dataset, 4);
     assert_eq!(oneshot_counts, run_service(&mut serial_service, &refs));
     assert_eq!(oneshot_counts, run_service(&mut pooled_service, &refs));
 

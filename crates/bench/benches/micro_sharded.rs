@@ -3,8 +3,8 @@
 //!
 //! Four execution modes serve the same 24-query workload:
 //!
-//! * `unsharded`    — the single-index batch service (1 worker), the PR 2
-//!   baseline;
+//! * `unsharded`    — a one-shard service (1 worker): one index over the
+//!   whole dataset;
 //! * `shards4_rr`   — 4 shards, round-robin placement, each shard a
 //!   1-worker pool, waves fanned out to all shards concurrently;
 //! * `shards4_lpt`  — 4 shards, size-balanced (LPT) placement;
@@ -22,9 +22,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph};
-use sqbench_harness::service::{
-    AdmissionQueue, QueryService, ServiceOptions, ShardStrategy, ShardedService,
-};
+use sqbench_harness::service::{AdmissionQueue, ServiceOptions, ShardStrategy, ShardedService};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
 const UNIVERSE: usize = 10_000;
@@ -84,7 +82,12 @@ fn bench_sharded(c: &mut Criterion) {
     let refs: Vec<&Graph> = queries.iter().collect();
 
     let index = build_index(MethodKind::Ggsx, &config, &dataset);
-    let mut unsharded = QueryService::new(&*index, &dataset, ServiceOptions::new().workers(1));
+    let mut unsharded = ShardedService::new(
+        MethodKind::Ggsx,
+        &config,
+        &dataset,
+        ServiceOptions::new().shards(1),
+    );
     let mut rr = ShardedService::new(
         MethodKind::Ggsx,
         &config,
@@ -106,13 +109,7 @@ fn bench_sharded(c: &mut Criterion) {
         .iter()
         .map(|q| index.query(&dataset, q).answers.len())
         .collect();
-    let unsharded_counts: Vec<usize> = unsharded
-        .run_batch(&refs, None)
-        .records
-        .iter()
-        .map(|r| r.as_ref().expect("no deadline").answer_count())
-        .collect();
-    assert_eq!(oneshot, unsharded_counts);
+    assert_eq!(oneshot, run_wave(&mut unsharded, &refs));
     assert_eq!(oneshot, run_wave(&mut rr, &refs));
     assert_eq!(oneshot, run_wave(&mut lpt, &refs));
     assert_eq!(oneshot, run_admission(&mut rr, &queries));
@@ -122,15 +119,7 @@ fn bench_sharded(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(4));
     group.bench_with_input(BenchmarkId::new("unsharded", UNIVERSE), &refs, |b, refs| {
-        b.iter(|| {
-            unsharded
-                .run_batch(refs, None)
-                .records
-                .iter()
-                .flatten()
-                .map(|r| r.answer_count())
-                .sum::<usize>()
-        })
+        b.iter(|| run_wave(&mut unsharded, refs))
     });
     group.bench_with_input(
         BenchmarkId::new("shards4_rr", UNIVERSE),

@@ -80,20 +80,6 @@ impl Fingerprint {
             .all(|(a, b)| a & b == *b)
     }
 
-    /// ORs `other`'s bits into `self`. This is how a *collection* synopsis
-    /// is folded from per-graph fingerprints (e.g. a shard-level routing
-    /// fingerprint): the union covers every member's fingerprint, so any
-    /// query fingerprint covered by some member is covered by the union.
-    pub fn union_with(&mut self, other: &Fingerprint) {
-        assert_eq!(
-            self.bits, other.bits,
-            "fingerprints must have the same width"
-        );
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= *b;
-        }
-    }
-
     /// Estimated heap bytes used by the fingerprint.
     pub fn memory_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()

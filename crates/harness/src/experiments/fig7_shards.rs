@@ -54,9 +54,8 @@ pub fn run_with_strategy(scale: &ExperimentScale, strategy: ShardStrategy) -> Ex
     );
     let workloads = workloads_for(&dataset, scale);
     for shards in sweep {
-        let options = options_for(scale)
-            .with_shards(shards)
-            .with_shard_strategy(strategy);
+        let mut options = options_for(scale);
+        options.service = options.service.shards(shards).strategy(strategy);
         report.push_point(measure_point(
             format!("{shards}"),
             shards as f64,
@@ -131,21 +130,18 @@ mod tests {
         assert_eq!(report.points.len(), sweep_for(&scale).len());
         for point in &report.points {
             for m in &point.results {
-                if m.shards > 1 {
-                    // Zero-copy partition: the overhead column carries the
-                    // Arc spines, roughly one pointer per graph per shard
-                    // layout — never a second copy of the dataset.
-                    assert!(m.partition_overhead_bytes > 0);
-                    assert!(
-                        m.partition_overhead_bytes
-                            <= scale.graph_count * 2 * std::mem::size_of::<usize>(),
-                        "{}: overhead {} is not pointer-sized",
-                        m.method,
-                        m.partition_overhead_bytes
-                    );
-                } else {
-                    assert_eq!(m.partition_overhead_bytes, 0);
-                }
+                // Zero-copy partition: the overhead column carries the Arc
+                // spines, roughly one pointer per graph per shard layout —
+                // never a second copy of the dataset. A one-shard run pays
+                // one spine too: it is the same service.
+                assert!(m.partition_overhead_bytes > 0);
+                assert!(
+                    m.partition_overhead_bytes
+                        <= scale.graph_count * 2 * std::mem::size_of::<usize>(),
+                    "{}: overhead {} is not pointer-sized",
+                    m.method,
+                    m.partition_overhead_bytes
+                );
             }
         }
     }

@@ -14,16 +14,18 @@
 //! * [`runner`] — the machinery that builds each index, runs a query
 //!   workload against it and enforces the experiment time budget (the
 //!   paper's 8-hour limit, scaled down);
-//! * [`service`] — the long-lived query service the runner routes
-//!   workloads through: a pipelined filter → verify worker pool with
-//!   per-worker candidate arenas and work stealing, plus the sharded
-//!   service (dataset partitioner, per-shard pools, merge stage) and the
+//! * [`service`] — the one long-lived query service every workload is
+//!   served through, [`ShardedService`]: a dataset partitioner (one shard
+//!   is the unsharded case), per-shard pipelined filter → verify worker
+//!   pools with recycled candidate arenas and work stealing, synopsis
+//!   routing, cross-query caches, an event-driven merge stage, and the
 //!   open admission queue (`submit`/`drain` with backpressure and
 //!   per-query deadlines);
 //! * [`report`] — experiment report data structures plus plain-text and CSV
 //!   rendering of the same rows/series the paper plots;
 //! * [`experiments`] — one module per table/figure of the paper
-//!   (Table 1, Figures 1–6), each parameterized by an [`ExperimentScale`]
+//!   (Table 1, Figures 1–6, plus the shard-count and routing sweeps of
+//!   Figures 7–8), each parameterized by an [`ExperimentScale`]
 //!   so the same code runs as a quick smoke test, a laptop-scale benchmark
 //!   or the full paper grid.
 //!
@@ -56,8 +58,6 @@ pub use metrics::{
 pub use report::{ExperimentPoint, ExperimentReport};
 pub use runner::{run_methods, ExperimentScale, RunOptions};
 pub use service::{
-    AdmissionQueue, AnswerMemo, BatchReport, CachePolicy, FeatureCache, QueryService, Router,
-    RoutingMode, ServiceOptions, ShardStrategy, ShardedReport, ShardedService, SubmitError,
+    AdmissionQueue, AnswerMemo, CachePolicy, FeatureCache, Router, RoutingMode, ServiceOptions,
+    ShardStrategy, ShardedReport, ShardedService, SubmitError,
 };
-#[allow(deprecated)]
-pub use service::{ServiceConfig, ShardedConfig};

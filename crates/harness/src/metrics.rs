@@ -354,25 +354,27 @@ pub struct MethodMetrics {
     /// Per-stage totals from the service pipeline (queue wait, filter,
     /// verify, candidates pruned) over the executed queries.
     pub stages: StageTotals,
-    /// Number of dataset shards the workload was served on (1 = the
-    /// unsharded single-index service).
+    /// Number of dataset shards the workload was served on (1 = one index
+    /// over the whole dataset).
     pub shards: usize,
     /// Total `(query, shard)` index probes dispatched over the executed
-    /// workload. A fanned-out sharded run probes `queries × shards`; an
-    /// unsharded run probes its single index once per query; synopsis
-    /// routing probes fewer.
+    /// workload. A fanned-out run probes `queries × shards` (a one-shard
+    /// run probes its single index once per query); synopsis routing and
+    /// answer-memo hits probe fewer.
     pub shards_probed: u64,
     /// Total `(query, shard)` probes the routing tier skipped because the
-    /// shard synopsis proved no match was possible. 0 for unsharded and
-    /// fanned-out runs; `shards_probed + shards_skipped` always equals
+    /// shard synopsis proved no match was possible (or the answer memo
+    /// served the query). 0 for fanned-out runs without caching;
+    /// `shards_probed + shards_skipped` always equals
     /// `queries_executed × shards`.
     pub shards_skipped: u64,
     /// Per-shard stage totals, indexed by shard, as aggregated by the
-    /// sharded service's merge stage. Empty for unsharded runs.
+    /// service's merge stage (one entry for an unsharded run). Empty only
+    /// for metrics assembled without a service run.
     pub shard_stages: Vec<StageTotals>,
     /// Incremental heap bytes the shard partition added on top of the
     /// source dataset (the shards' `Arc` pointer spines — graph storage is
-    /// shared, not copied). 0 for unsharded runs.
+    /// shared, not copied); a one-shard run pays one spine.
     pub partition_overhead_bytes: usize,
     /// Hit/miss/eviction counters of the cross-query caching layer (all
     /// zeros when caching is disabled, the default).
@@ -402,7 +404,7 @@ impl MethodMetrics {
 
     /// Busiest-shard processing time (filter + verify seconds of the shard
     /// that worked hardest) — the critical path a sharded wave cannot beat.
-    /// Falls back to the workload totals for unsharded runs.
+    /// Falls back to the workload totals when no per-shard totals exist.
     pub fn max_shard_time_s(&self) -> f64 {
         if self.shard_stages.is_empty() {
             self.stages.filter_s + self.stages.verify_s

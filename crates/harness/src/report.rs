@@ -138,7 +138,8 @@ pub fn render_text(report: &ExperimentReport) -> String {
 /// routing tier dispatched and skipped, the busiest shard's processing
 /// seconds, the lightest/heaviest *probed*-shard balance, and the
 /// incremental `partition_overhead_bytes` the shard partition cost on top
-/// of the source dataset — 1, 0 and degenerate values for unsharded runs).
+/// of the source dataset — for an unsharded run: 1 shard, one probe per
+/// executed query, no skips, balance 1 and one pointer spine).
 ///
 /// The outcome columns (`queries_degraded`, `queries_failed`,
 /// `queries_shed`, `retries`) report the fault-tolerance accounting: how

@@ -2,13 +2,11 @@
 //! per-method time budget.
 
 use crate::metrics::{CacheCounters, MethodMetrics, StageTotals, Stopwatch};
-use crate::service::{
-    CachePolicy, QueryService, RoutingMode, ServiceOptions, ShardStrategy, ShardedService,
-};
+use crate::service::{ServiceOptions, ShardedService};
 use serde::{Deserialize, Serialize};
 use sqbench_generator::QueryWorkload;
 use sqbench_graph::Dataset;
-use sqbench_index::{build_index, MethodConfig, MethodKind};
+use sqbench_index::{MethodConfig, MethodKind};
 use std::time::Duration;
 
 /// Scale of an experiment run. The same experiment code is used at three
@@ -44,7 +42,7 @@ pub struct ExperimentScale {
     /// RNG seed shared by dataset and workload generation.
     pub seed: u64,
     /// Query-service workers each method's workload is served on (see
-    /// [`RunOptions::with_query_threads`]). The paper's latency semantics need
+    /// [`ServiceOptions::workers`]). The paper's latency semantics need
     /// `1`; the smoke/laptop scales use a small pool so every figure run
     /// exercises (and benefits from) batched serving.
     pub query_threads: usize,
@@ -106,7 +104,7 @@ impl ExperimentScale {
 /// (method set, index configuration, time budget) layered over the unified
 /// [`ServiceOptions`] service surface. Service-side behaviour — workers,
 /// shards, placement strategy, routing, retry, caching — lives *only* on
-/// [`RunOptions::service`]; the `with_*` conveniences below delegate there.
+/// [`RunOptions::service`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Which methods to run (defaults to all six).
@@ -115,15 +113,15 @@ pub struct RunOptions {
     pub config: MethodConfig,
     /// Per-method time budget (indexing + queries).
     pub time_budget: Duration,
-    /// How each method's query service is shaped: worker threads per pool
-    /// (`workers`, an *upper bound* — [`run_methods`] additionally clamps
-    /// it to the flattened workload size, since a worker without a query to
-    /// claim would only spin), dataset shards (`shards`, 1 = the
-    /// single-index service; answer sets are identical to the unsharded
-    /// run, candidate counts may differ because each shard mines features
-    /// over its own slice), placement strategy, routing mode and the
-    /// cross-query [`CachePolicy`]. Prefer `workers = 1` and the disabled
-    /// cache when comparing latency numbers against the paper.
+    /// How each method's query service is shaped: worker threads per shard
+    /// pool (`workers`, an *upper bound* — a pool never spawns more workers
+    /// than it has queries, since a worker without a query to claim would
+    /// only spin), dataset shards (`shards`, 1 = one index over the whole
+    /// dataset; answer sets are identical for every shard count, candidate
+    /// counts may differ because each shard mines features over its own
+    /// slice), placement strategy, routing mode and the cross-query
+    /// [`crate::service::CachePolicy`]. Prefer `workers = 1` and the
+    /// disabled cache when comparing latency numbers against the paper.
     pub service: ServiceOptions,
 }
 
@@ -159,58 +157,27 @@ impl RunOptions {
         self.service = service;
         self
     }
-
-    /// Serves each method's query workload on up to `threads` service
-    /// workers (floored at 1; additionally clamped to the workload size
-    /// inside [`run_methods`]). Delegates to [`ServiceOptions::workers`].
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.service = self.service.workers(threads);
-        self
-    }
-
-    /// Partitions the dataset over `shards` cooperating shard services
-    /// (floored at 1 = unsharded). Delegates to [`ServiceOptions::shards`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.service = self.service.shards(shards);
-        self
-    }
-
-    /// Sets the shard partitioning strategy (see [`ShardStrategy`]).
-    pub fn with_shard_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.service = self.service.strategy(strategy);
-        self
-    }
-
-    /// Sets the shard routing mode (see [`RoutingMode`]).
-    pub fn with_routing(mut self, routing: RoutingMode) -> Self {
-        self.service = self.service.routing(routing);
-        self
-    }
-
-    /// Sets the cross-query cache policy (see [`CachePolicy`]). The
-    /// default is [`CachePolicy::disabled`] — paper-comparable runs.
-    pub fn with_cache(mut self, cache: CachePolicy) -> Self {
-        self.service = self.service.cache(cache);
-        self
-    }
 }
 
-/// Builds each requested method over `dataset` and serves every query of
-/// every workload against it through the batch [`QueryService`], returning
+/// Builds each requested method's [`ShardedService`] over `dataset` and
+/// serves every query of every workload against it as one wave, returning
 /// one [`MethodMetrics`] per method (including the per-stage breakdown the
-/// service records).
+/// service records). One code path serves every shard count: `shards == 1`
+/// is a one-shard service over the whole dataset.
 ///
-/// The time budget is enforced at two points: after index construction (a
-/// method whose build alone exceeds the budget is marked `timed_out` and
+/// Indexing time covers everything the service builds before it can
+/// answer: the partition, the routing synopses and every shard's index.
+/// The time budget is enforced at two points: after that build (a method
+/// whose build alone exceeds the budget is marked `timed_out` and
 /// processes no queries — the analogue of the paper's DNF entries) and
-/// before each query enters the service pipeline. With one worker
-/// (`query_threads == 1`) queries are claimed in workload order, so the
-/// skipped queries are exactly the workload suffix and `queries_executed`
-/// records how far the method got; with a multi-worker pool the claim
-/// order is still the workload order but completions interleave, so a
-/// timed-out method's executed set is a scheduler-dependent subset (the
-/// metrics of runs that finish within budget are unaffected — pooled and
-/// single-worker runs execute the same queries).
+/// before each query starts on a shard, where the wave deadline applies.
+/// With one worker per shard a shard serves its queries in workload order,
+/// so the skipped queries are exactly the workload suffix and
+/// `queries_executed` records how far the method got; with a multi-worker
+/// pool completions interleave, so a timed-out method's executed set is a
+/// scheduler-dependent subset (the metrics of runs that finish within
+/// budget are unaffected — pooled and single-worker runs execute the same
+/// queries).
 pub fn run_methods(
     dataset: &Dataset,
     workloads: &[QueryWorkload],
@@ -219,91 +186,11 @@ pub fn run_methods(
     options
         .methods
         .iter()
-        .map(|&kind| run_single_method(kind, dataset, workloads, options))
+        .map(|&kind| run_method(kind, dataset, workloads, options))
         .collect()
 }
 
-fn run_single_method(
-    kind: MethodKind,
-    dataset: &Dataset,
-    workloads: &[QueryWorkload],
-    options: &RunOptions,
-) -> MethodMetrics {
-    if options.service.shards > 1 {
-        return run_sharded_method(kind, dataset, workloads, options);
-    }
-    let budget = options.time_budget;
-    let build_watch = Stopwatch::start();
-    let index = build_index(kind, &options.config, dataset);
-    let indexing_time_s = build_watch.elapsed_secs();
-    let stats = index.stats();
-
-    let mut timed_out = build_watch.elapsed() > budget;
-    let mut stages = StageTotals::default();
-    let mut false_positive_ratio = 0.0;
-    let mut queries_executed = 0usize;
-    let mut queries_failed = 0usize;
-    let mut cache = CacheCounters::default();
-
-    if !timed_out {
-        // Flatten the workloads once and serve them as a single batch
-        // through the pipelined query service. The worker bound is clamped
-        // to the batch size (see RunOptions::service).
-        let queries: Vec<&sqbench_graph::Graph> = workloads
-            .iter()
-            .flat_map(|w| w.iter().map(|(query, _)| query))
-            .collect();
-        let workers = options.service.workers.max(1).min(queries.len().max(1));
-        let mut service =
-            QueryService::new(&*index, dataset, options.service.clone().workers(workers));
-        let report = service.run_batch(&queries, Some(build_watch.deadline_after(budget)));
-        timed_out = report.timed_out();
-        queries_executed = report.executed();
-        queries_failed = report.failed();
-        false_positive_ratio = report.false_positive_ratio();
-        stages = report.totals;
-        cache = service.cache_counters();
-    }
-
-    MethodMetrics {
-        method: kind.name().to_string(),
-        indexing_time_s,
-        index_size_bytes: stats.size_bytes,
-        distinct_features: stats.distinct_features,
-        avg_query_time_s: if stages.queries == 0 {
-            0.0
-        } else {
-            (stages.filter_s + stages.verify_s) / stages.queries as f64
-        },
-        false_positive_ratio,
-        queries_executed,
-        timed_out,
-        // The unsharded single-index service cannot answer partially and
-        // the batch path never sheds or retries.
-        queries_degraded: 0,
-        queries_failed,
-        queries_shed: 0,
-        retries: 0,
-        // Batch runs serve a frozen snapshot of the dataset — the online
-        // ingest path flows through `ShardedService::drain` instead.
-        inserts_applied: 0,
-        removes_applied: 0,
-        stages,
-        shards: 1,
-        // The unsharded service probes its single index once per query.
-        shards_probed: queries_executed as u64,
-        shards_skipped: 0,
-        shard_stages: Vec::new(),
-        partition_overhead_bytes: 0,
-        cache,
-    }
-}
-
-/// The sharded twin of `run_single_method`: partitions the dataset, builds
-/// one index per shard (indexing time covers all shard builds) and serves
-/// the flattened workload as one wave across every shard pool. `timed_out`
-/// means at least one query missed the budget deadline on some shard.
-fn run_sharded_method(
+fn run_method(
     kind: MethodKind,
     dataset: &Dataset,
     workloads: &[QueryWorkload],
@@ -462,7 +349,7 @@ mod tests {
             &workloads,
             &RunOptions::fast()
                 .with_methods(&kinds)
-                .with_query_threads(3),
+                .with_service(ServiceOptions::new().workers(3)),
         );
         assert_eq!(sequential.len(), batched.len());
         for (s, b) in sequential.iter().zip(batched.iter()) {
@@ -478,21 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn query_threads_builder_clamps_to_one() {
-        let options = RunOptions::fast().with_query_threads(0);
-        assert_eq!(options.service.workers, 1);
-        assert_eq!(RunOptions::default().service.workers, 1);
-    }
-
-    #[test]
-    fn shards_builder_clamps_and_defaults_to_unsharded() {
-        assert_eq!(RunOptions::default().service.shards, 1);
-        assert_eq!(RunOptions::fast().with_shards(0).service.shards, 1);
-        let options = RunOptions::fast()
-            .with_shards(3)
-            .with_shard_strategy(ShardStrategy::SizeBalanced);
-        assert_eq!(options.service.shards, 3);
-        assert_eq!(options.service.strategy, ShardStrategy::SizeBalanced);
+    fn run_options_default_to_one_worker_on_one_shard() {
+        for options in [RunOptions::default(), RunOptions::fast()] {
+            assert_eq!(options.service.workers, 1);
+            assert_eq!(options.service.shards, 1);
+        }
     }
 
     #[test]
@@ -503,7 +380,9 @@ mod tests {
         let sharded = run_methods(
             &ds,
             &workloads,
-            &RunOptions::fast().with_methods(&kinds).with_shards(3),
+            &RunOptions::fast()
+                .with_methods(&kinds)
+                .with_service(ServiceOptions::new().shards(3)),
         );
         for (u, s) in unsharded.iter().zip(sharded.iter()) {
             assert_eq!(u.method, s.method);
@@ -519,9 +398,14 @@ mod tests {
             // Sharded index stats aggregate real per-shard indexes.
             assert!(s.index_size_bytes > 0);
         }
-        // Unsharded runs leave the shard columns degenerate.
+        // An unsharded run is a one-shard run: one shard's totals, every
+        // executed query probed once.
         assert_eq!(unsharded[0].shards, 1);
-        assert!(unsharded[0].shard_stages.is_empty());
+        assert_eq!(unsharded[0].shard_stages.len(), 1);
+        assert_eq!(
+            unsharded[0].shards_probed as usize,
+            unsharded[0].queries_executed
+        );
     }
 
     #[test]
@@ -529,7 +413,7 @@ mod tests {
         let (ds, workloads) = small_setup();
         let mut options = RunOptions::fast()
             .with_methods(&[MethodKind::Ggsx])
-            .with_shards(2);
+            .with_service(ServiceOptions::new().shards(2));
         options.time_budget = Duration::from_secs(0);
         let results = run_methods(&ds, &workloads, &options);
         assert!(results[0].timed_out);
@@ -543,9 +427,9 @@ mod tests {
         // The builder keeps the requested bound verbatim...
         let options = RunOptions::fast()
             .with_methods(&[MethodKind::Ggsx])
-            .with_query_threads(64);
+            .with_service(ServiceOptions::new().workers(64));
         assert_eq!(options.service.workers, 64);
-        // ...and `run_methods` clamps it to the 4-query workload: the run
+        // ...and the shard pool clamps it to the 4-query workload: the run
         // completes on 4 workers and reports exactly the serial results.
         let (ds, workloads) = small_setup();
         let oversubscribed = run_methods(&ds, &workloads, &options);

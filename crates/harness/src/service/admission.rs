@@ -1,7 +1,7 @@
 //! Open query admission: a bounded, continuously-admitting queue in front
 //! of the (sharded) query service.
 //!
-//! The closed `run_batch` entry point assumes the whole workload exists up
+//! The closed `run_wave` entry point assumes the whole workload exists up
 //! front — fine for reproducing the paper's figures, wrong for a service
 //! facing open traffic. [`AdmissionQueue`] decouples the two sides:
 //!
@@ -267,8 +267,7 @@ impl AdmissionQueue {
     /// for targeted tickets).
     ///
     /// [`ServiceOptions`]: super::ServiceOptions
-    pub fn new(opts: impl Into<super::ServiceOptions>) -> Self {
-        let opts: super::ServiceOptions = opts.into();
+    pub fn new(opts: super::ServiceOptions) -> Self {
         AdmissionQueue {
             state: Mutex::new(AdmissionState {
                 pending: VecDeque::new(),
@@ -282,27 +281,6 @@ impl AdmissionQueue {
             faults: opts.faults,
             cost_model: CostModel::new(),
         }
-    }
-
-    /// Legacy constructor: a queue admitting at most `capacity` pending
-    /// queries.
-    #[deprecated(note = "use AdmissionQueue::new(ServiceOptions::new().queue_capacity(n))")]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::new(super::ServiceOptions::new().queue_capacity(capacity))
-    }
-
-    /// Legacy constructor: like `with_capacity`, with a fault-injection
-    /// plan armed — submissions whose would-be ticket the plan targets
-    /// fail with [`SubmitError::Injected`] without consuming the ticket.
-    #[deprecated(
-        note = "use AdmissionQueue::new(ServiceOptions::new().queue_capacity(n).faults(plan))"
-    )]
-    pub fn with_faults(capacity: usize, faults: Arc<FaultPlan>) -> Self {
-        Self::new(
-            super::ServiceOptions::new()
-                .queue_capacity(capacity)
-                .faults(faults),
-        )
     }
 
     /// Poison-tolerant lock: every guarded section is a short queue

@@ -303,7 +303,7 @@ impl FeatureCacheStore for FeatureCache {
 }
 
 /// What the answer memo stores for one canonical query: everything needed
-/// to synthesize a [`super::stages::QueryRecord`] without touching a
+/// to synthesize a [`super::ShardedQueryRecord`] without touching a
 /// shard, so a memo hit reports the same candidate accounting (and thus
 /// the same false-positive ratio) as the run that populated it.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,460 +1,107 @@
-//! Long-lived batch query service: a pipelined filter → verify worker pool
-//! over one loaded index.
+//! The query service: a sharded, pipelined filter → verify serving layer.
 //!
 //! The paper measures one query at a time; a reproduction that wants to
 //! expose how filtering and verification costs trade off *at scale* has to
 //! serve whole workloads. This module is that serving layer — the
-//! experiment runner and every figure driver route their workloads through
-//! it.
+//! experiment runner, every figure driver and the end-to-end benchmark
+//! route their workloads through [`ShardedService`]. There is one serving
+//! path: an unsharded service is a one-shard [`ShardedService`].
 //!
 //! # Architecture
 //!
 //! ```text
-//!             ┌────────────────────── QueryService ─────────────────────┐
-//!  batch ───► │ BatchQueue (injector, atomic claim = work stealing)     │
-//!             │      │ claim                                            │
-//!             │      ▼                                                  │
-//!             │ ┌─ worker 0 ─┐  ┌─ worker 1 ─┐ … ┌─ worker N ─┐         │
-//!             │ │ filter_into│  │ filter_into│   │ filter_into│  stage 1│
-//!             │ │  (arena)   │  │  (arena)   │   │  (arena)   │         │
-//!             │ │     ▼      │  │     ▼      │   │     ▼      │         │
-//!             │ │ VerifyJob ─┼─► StealDeque per worker ◄──────┼─ steal  │
-//!             │ │     ▼      │  │     ▼      │   │     ▼      │         │
-//!             │ │ verify_set │  │ verify_set │   │ verify_set │  stage 2│
-//!             │ └────────────┘  └────────────┘   └────────────┘         │
-//!             │      ▼ per-query records + stage timings                │
-//!             └──────┴──► BatchReport (records, StageTotals, wall time) │
-//!             └─────────────────────────────────────────────────────────┘
+//!           ┌──────────────────────── ShardedService ─────────────────────────┐
+//!  wave ──► │ answer memo probe → Router::plan → one ShardJob per shard       │
+//!           │      │                                                          │
+//!           │      ▼ per shard: persistent executor thread                    │
+//!           │ ┌───────────────── run_batch_on (one shard) ─────────────────┐  │
+//!           │ │ BatchQueue (atomic claim = work stealing)                  │  │
+//!           │ │ ┌─ worker 0 ─┐  ┌─ worker 1 ─┐ … ┌─ worker N ─┐            │  │
+//!           │ │ │ filter_into│  │ filter_into│   │ filter_into│   stage 1  │  │
+//!           │ │ │ VerifyJob ─┼─► StealDeque per worker ◄──────┼─ steal     │  │
+//!           │ │ │ verify_set │  │ verify_set │   │ verify_set │   stage 2  │  │
+//!           │ │ └────────────┘  └────────────┘   └────────────┘            │  │
+//!           │ └────────────────────────────────────────────────────────────┘  │
+//!           │      ▼ per-(query, shard) events                                │
+//!           └──► merge: global ids, outcomes, StageTotals ──► ShardedReport ──┘
 //! ```
 //!
-//! * **Request queue** ([`queue`]) — the batch is an indexed slice; workers
-//!   claim the next unstarted query with an atomic fetch-add. Claiming is
-//!   the load-balancing mechanism: whichever worker is free takes the next
-//!   query, so skewed per-query costs never idle the pool.
-//! * **Worker pool** ([`pool`]) — workers are scoped threads (they borrow
-//!   the index and dataset; no `Arc` plumbing), but each worker's
-//!   [`pool::WorkerArena`] is owned by the service and **persists across
-//!   batches**: the filter stage narrows a recycled [`CandidateSet`] in
-//!   place via [`GraphIndex::filter_into`] and never materializes a
+//! * **Request queue** (`queue`) — a shard's batch is an indexed slice;
+//!   workers claim the next unstarted query with an atomic fetch-add.
+//!   Claiming is the load-balancing mechanism: whichever worker is free
+//!   takes the next query, so skewed per-query costs never idle the pool.
+//! * **Worker pool** (`pool`) — workers are scoped threads, but each
+//!   worker's candidate arena belongs to its shard and **persists across
+//!   waves**: the filter stage narrows a recycled [`sqbench_index::CandidateSet`] in place
+//!   via [`GraphIndex::filter_into`] and never materializes a
 //!   `Vec<GraphId>` of candidates.
-//! * **Pipeline stages** ([`stages`]) — filtering produces a
-//!   [`stages::VerifyJob`] carrying the arena; verification runs
-//!   [`GraphIndex::verify_set`] straight off the bits and recycles the
-//!   arena. In a multi-worker pool each worker *filters ahead* by up to two
-//!   queries before verifying, parking the filtered jobs in its
-//!   [`queue::StealDeque`] — while it filters (or grinds through a long
-//!   verification) those parked jobs are stealable by idle workers, which
+//! * **Pipeline stages** (`stages`) — filtering produces a verify job
+//!   carrying the arena; verification runs [`GraphIndex::verify_set`]
+//!   straight off the bits and recycles the arena. In a multi-worker pool
+//!   each worker *filters ahead* by up to two queries before verifying,
+//!   parking the filtered jobs where idle workers can steal them — which
 //!   is what lets the filter of one query overlap the verification of
 //!   another across the pool.
 //!
-//! # Arena ownership
-//!
-//! A [`CandidateSet`] arena is owned by exactly one [`pool::WorkerArena`]
-//! at rest and by exactly one [`stages::VerifyJob`] in flight. The verify
-//! stage returns the set to the pool of whichever worker ran it (stealing
-//! migrates sets between workers); the filter-ahead bound caps in-flight
-//! jobs at two per worker, so the fleet-wide set count stays a small
-//! multiple of the pool size and reuse is total after warm-up.
-//!
 //! # Determinism
 //!
-//! With one worker the service claims, filters and verifies queries in
-//! batch order — bit-for-bit the sequential runner semantics, including the
-//! order-dependent feature learning of Tree+Δ. With several workers answer
-//! sets are still exact per query (verification is exact regardless of
-//! filtering power); only order-sensitive *candidate* trajectories of
-//! learning methods may differ.
+//! With one worker per shard a shard claims, filters and verifies its
+//! queries in wave order — bit-for-bit the sequential runner semantics,
+//! including the order-dependent feature learning of Tree+Δ. With several
+//! workers answer sets are still exact per query (verification is exact
+//! regardless of filtering power); only order-sensitive *candidate*
+//! trajectories of learning methods may differ.
 //!
-//! # Beyond one index and one closed batch
+//! # Sibling modules
 //!
-//! Four sibling modules generalize this serving layer:
-//!
-//! * [`sharded`] — partitions the dataset across N cooperating shard pools
-//!   (each with its own index and arenas), fans every wave out across the
-//!   shards concurrently and merges the per-shard match sets back into
-//!   global answers;
+//! * [`sharded`] — the service itself: the dataset partitioner, the
+//!   per-shard executors, the event-driven wave merge and the online
+//!   mutation surface;
 //! * [`synopsis`] — the selective shard-routing tier: per-shard label /
 //!   degree / size synopses and the [`Router`] that lets a wave skip
-//!   shards which provably hold no match, instead of fanning every query
-//!   to every shard;
-//! * [`admission`] — a bounded, continuously-admitting query queue
-//!   (`submit`/`drain` with backpressure and per-query deadlines) that
-//!   replaces the closed `run_batch`-only entry point for open traffic;
+//!   shards which provably hold no match;
+//! * [`admission`] — a bounded, continuously-admitting queue
+//!   (`submit`/`drain` with backpressure and per-query deadlines) for
+//!   open traffic;
 //! * [`cache`] — the cross-query caching layer: a per-(shard, method) LRU
 //!   of hot per-feature candidate bitsets consulted inside the filter
 //!   stage, plus an optional whole-answer memo keyed by canonical graph
-//!   form and probed at admission before any shard is planned.
-//!
-//! # Constructor convention
-//!
-//! Every long-lived object of the serving stack is constructed from the
-//! unified [`options::ServiceOptions`] builder: `Type::new(opts)` — taking
-//! `impl Into<ServiceOptions>` or `&ServiceOptions` — is the single entry
-//! point ([`QueryService::new`], [`ShardedService::new`],
-//! [`AdmissionQueue::new`]). The legacy per-type configs
-//! ([`ServiceConfig`], [`ShardedConfig`]) and bespoke `with_*`
-//! constructors survive only as deprecated delegating shims; new knobs —
-//! the cache policy is the first — land on `ServiceOptions` only.
+//!   form and probed before any shard is planned;
+//! * [`options`] — [`ServiceOptions`], the one configuration surface every
+//!   constructor of the stack takes ([`ShardedService::new`],
+//!   [`AdmissionQueue::new`]).
 
 pub mod admission;
 pub mod cache;
 pub mod fault;
 pub mod options;
-pub mod pool;
-pub mod queue;
+mod pool;
+mod queue;
 pub mod sharded;
-pub mod stages;
+mod stages;
 pub mod synopsis;
 
 pub use admission::{AdmissionQueue, AdmittedQuery, CostModel, IngestOp, SubmitError, Ticket};
 pub use cache::{answer_memo_key, AnswerEntry, AnswerMemo, CachePolicy, FeatureCache, Lru};
 pub use fault::{silence_injected_panics, FaultPlan, FaultSpec, InjectedPanic};
 pub use options::ServiceOptions;
-#[allow(deprecated)]
-pub use sharded::ShardedConfig;
 pub use sharded::{
     partition_dataset, RetryPolicy, ShardPart, ShardStrategy, ShardedQueryRecord, ShardedReport,
     ShardedService,
 };
-pub use stages::{QueryOutcome, QueryRecord};
+pub use stages::QueryOutcome;
 pub use synopsis::{Router, RoutingMode};
 
-use crate::metrics::{counted_false_positive_ratio, CacheCounters, StageTotals, Stopwatch};
 use pool::{worker_loop, BatchShared, WaveFaults, WorkerArena};
 use sqbench_graph::{Dataset, Graph};
-use sqbench_index::{CandidateSet, FeatureCacheStore, GraphIndex};
-use std::sync::Arc;
+use sqbench_index::{FeatureCacheStore, GraphIndex};
+use stages::QueryRecord;
 use std::time::Instant;
 
-/// Legacy configuration of a [`QueryService`], kept as a compatibility
-/// shim: it converts into [`ServiceOptions`] (the unified surface) and
-/// carries only the worker count — cache knobs never landed here.
-#[deprecated(note = "use ServiceOptions::new().workers(n) — the unified service config surface")]
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Worker threads in the pool. Clamped to at least 1; a batch never
-    /// spawns more workers than it has queries.
-    pub workers: usize,
-}
-
-#[allow(deprecated)]
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig { workers: 1 }
-    }
-}
-
-#[allow(deprecated)]
-impl ServiceConfig {
-    /// A service config with the given worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        ServiceConfig {
-            workers: workers.max(1),
-        }
-    }
-}
-
-/// The batch query service. Construct once per loaded index, then feed it
-/// any number of batches; worker arenas — and, when enabled, both cache
-/// levels — persist between batches.
-pub struct QueryService<'a> {
-    index: &'a dyn GraphIndex,
-    dataset: &'a Dataset,
-    arenas: Vec<WorkerArena>,
-    /// Cross-query feature-bitset cache shared by the pool's workers
-    /// (`None` = disabled, the zero-overhead default).
-    features: Option<FeatureCache>,
-    /// Whole-answer memo probed at admission (`None` = disabled).
-    answers: Option<AnswerMemo>,
-}
-
-/// Everything a batch run produced: one record per query (in batch order)
-/// plus aggregate stage totals and the batch wall time.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-query records, indexed like the submitted batch. `None` marks a
-    /// query that produced no record — skipped on deadline or failed (see
-    /// the matching [`BatchReport::outcomes`] entry for which).
-    pub records: Vec<Option<QueryRecord>>,
-    /// Per-query outcomes, indexed like the submitted batch. At this layer
-    /// the vocabulary is `Complete` (record present), `TimedOut` (skipped
-    /// on deadline) or `Failed` (the query's execution panicked, or its
-    /// worker died before reporting); the sharded merge refines these
-    /// across shards.
-    pub outcomes: Vec<QueryOutcome>,
-    /// Stage totals over the executed queries.
-    pub totals: StageTotals,
-    /// Wall-clock seconds the batch took end to end.
-    pub wall_s: f64,
-    /// Workers the batch actually ran on (after clamping to batch size).
-    pub workers: usize,
-}
-
-impl BatchReport {
-    /// Number of queries that executed (claimed before the deadline).
-    pub fn executed(&self) -> usize {
-        self.records.iter().flatten().count()
-    }
-
-    /// `true` when at least one query was skipped on deadline.
-    pub fn timed_out(&self) -> bool {
-        self.outcomes
-            .iter()
-            .any(|o| matches!(o, QueryOutcome::TimedOut))
-    }
-
-    /// Number of queries whose execution failed (panicked or lost).
-    pub fn failed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, QueryOutcome::Failed))
-            .count()
-    }
-
-    /// Workload false positive ratio (Equation 3) over executed queries.
-    /// `0.0` for an empty batch (no executed queries) — never NaN, so the
-    /// value is always safe to write into a CSV report.
-    pub fn false_positive_ratio(&self) -> f64 {
-        counted_false_positive_ratio(
-            self.records
-                .iter()
-                .flatten()
-                .map(|r| (r.candidate_count, r.answer_count())),
-        )
-    }
-
-    /// Executed queries per wall-clock second — the service's throughput.
-    /// `0.0` for an empty or zero-duration batch (and for a corrupted
-    /// non-finite wall time) — never NaN or infinity.
-    pub fn throughput_qps(&self) -> f64 {
-        if self.executed() == 0 || self.wall_s <= 0.0 || !self.wall_s.is_finite() {
-            0.0
-        } else {
-            self.executed() as f64 / self.wall_s
-        }
-    }
-}
-
-impl<'a> QueryService<'a> {
-    /// Creates a service over a loaded index and its dataset from the
-    /// unified options (`workers` and `cache` are read; the sharding knobs
-    /// are ignored at this layer). Accepts anything convertible into
-    /// [`ServiceOptions`], which keeps legacy [`ServiceConfig`] callers
-    /// compiling through the deprecated `From` shim.
-    pub fn new(
-        index: &'a dyn GraphIndex,
-        dataset: &'a Dataset,
-        opts: impl Into<ServiceOptions>,
-    ) -> Self {
-        let opts = opts.into();
-        let workers = opts.workers.max(1);
-        QueryService {
-            index,
-            dataset,
-            arenas: (0..workers).map(|_| WorkerArena::default()).collect(),
-            features: (opts.cache.feature_capacity > 0)
-                .then(|| FeatureCache::new(opts.cache.feature_capacity)),
-            answers: (opts.cache.answer_capacity > 0)
-                .then(|| AnswerMemo::new(opts.cache.answer_capacity)),
-        }
-    }
-
-    /// The configured worker count.
-    pub fn worker_count(&self) -> usize {
-        self.arenas.len()
-    }
-
-    /// Candidate sets currently pooled across all worker arenas
-    /// (diagnostics: after a batch this is the in-flight high-water mark).
-    pub fn pooled_sets(&self) -> usize {
-        self.arenas.iter().map(WorkerArena::pooled_sets).sum()
-    }
-
-    /// Cumulative hit/miss/eviction counters of both cache levels (all
-    /// zeros when caching is disabled).
-    pub fn cache_counters(&self) -> CacheCounters {
-        let mut counters = CacheCounters::default();
-        if let Some(features) = &self.features {
-            counters.feature_hits = features.hits();
-            counters.feature_misses = features.misses();
-            counters.evictions += features.evictions();
-        }
-        if let Some(memo) = &self.answers {
-            counters.answer_hits = memo.hits();
-            counters.answer_misses = memo.misses();
-            counters.evictions += memo.evictions();
-        }
-        counters
-    }
-
-    /// Drops every entry of both cache levels and bumps their epochs.
-    /// `QueryService` borrows its index and dataset, so they cannot be
-    /// mutated while it is alive — staleness is ruled out at compile time
-    /// here. The online mutation surface is [`ShardedService`], whose
-    /// `insert_graph`/`remove_graph` (and drained [`IngestOp`] mutations)
-    /// call its equivalent of this hook automatically.
-    pub fn invalidate_caches(&self) {
-        if let Some(features) = &self.features {
-            features.invalidate_all();
-        }
-        if let Some(memo) = &self.answers {
-            memo.invalidate_all();
-        }
-    }
-
-    /// Runs one batch through the pipeline. Queries claimed after
-    /// `deadline` are skipped (recorded as `None`), mirroring the
-    /// experiment budget semantics; `None` means no deadline.
-    pub fn run_batch(&mut self, queries: &[&Graph], deadline: Option<Instant>) -> BatchReport {
-        self.run_batch_inner(queries, deadline, None)
-    }
-
-    /// Like [`QueryService::run_batch`], but additionally honouring a
-    /// per-query deadline slice (indexed like `queries`): a query whose own
-    /// deadline has passed when a worker claims it is skipped even if the
-    /// batch-wide deadline is still open. This is the entry point the open
-    /// admission path uses — each submitted query carries the deadline its
-    /// producer attached.
-    pub fn run_batch_with_deadlines(
-        &mut self,
-        queries: &[&Graph],
-        deadline: Option<Instant>,
-        per_query: &[Option<Instant>],
-    ) -> BatchReport {
-        self.run_batch_inner(queries, deadline, Some(per_query))
-    }
-
-    fn run_batch_inner(
-        &mut self,
-        queries: &[&Graph],
-        deadline: Option<Instant>,
-        per_query: Option<&[Option<Instant>]>,
-    ) -> BatchReport {
-        let store = self.features.as_ref().map(|f| f as &dyn FeatureCacheStore);
-        let Some(memo) = &self.answers else {
-            return run_batch_on(
-                self.index,
-                self.dataset,
-                &mut self.arenas,
-                queries,
-                deadline,
-                per_query,
-                None,
-                store,
-            );
-        };
-
-        // Admission-time memo probe: a hit never reaches the worker pool.
-        // A query whose deadline already passed is not probed — it goes to
-        // the pool, which reports it `TimedOut` exactly like the uncached
-        // path would (a memo must never change outcome semantics).
-        let watch = Stopwatch::start();
-        let expired = |i: usize| {
-            let now = Instant::now();
-            deadline.is_some_and(|d| now >= d)
-                || per_query.and_then(|p| p[i]).is_some_and(|d| now >= d)
-        };
-        let mut keys: Vec<Option<String>> = Vec::with_capacity(queries.len());
-        let mut hits: Vec<Option<(Arc<AnswerEntry>, f64)>> = Vec::with_capacity(queries.len());
-        let mut miss_indexes: Vec<usize> = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            let key = if expired(i) {
-                None
-            } else {
-                answer_memo_key(query)
-            };
-            let probe = Stopwatch::start();
-            match key.as_deref().and_then(|k| memo.lookup(k)) {
-                Some(entry) => hits.push(Some((entry, probe.elapsed_secs()))),
-                None => {
-                    hits.push(None);
-                    miss_indexes.push(i);
-                }
-            }
-            keys.push(key);
-        }
-
-        // Run the misses as a sub-batch on the pool (preserving relative
-        // batch order), then merge hits and misses back by batch index.
-        let sub_queries: Vec<&Graph> = miss_indexes.iter().map(|&i| queries[i]).collect();
-        let sub_deadlines: Option<Vec<Option<Instant>>> =
-            per_query.map(|p| miss_indexes.iter().map(|&i| p[i]).collect());
-        let mut sub = run_batch_on(
-            self.index,
-            self.dataset,
-            &mut self.arenas,
-            &sub_queries,
-            deadline,
-            sub_deadlines.as_deref(),
-            None,
-            store,
-        );
-
-        let mut records: Vec<Option<QueryRecord>> = Vec::new();
-        records.resize_with(queries.len(), || None);
-        let mut outcomes = vec![QueryOutcome::Failed; queries.len()];
-        let mut totals = sub.totals;
-        for (i, hit) in hits.into_iter().enumerate() {
-            if let Some((entry, probe_s)) = hit {
-                totals.add_query(0.0, probe_s, 0.0, 0.0, entry.candidates_pruned);
-                totals.observe_latency(probe_s);
-                records[i] = Some(QueryRecord {
-                    candidate_count: entry.candidate_count,
-                    candidates_pruned: entry.candidates_pruned,
-                    answers: entry.answers.clone(),
-                    queue_wait_s: 0.0,
-                    cache_probe_s: probe_s,
-                    filter_s: 0.0,
-                    verify_s: 0.0,
-                });
-                outcomes[i] = QueryOutcome::Complete;
-            }
-        }
-        for (sub_idx, &i) in miss_indexes.iter().enumerate() {
-            // Only complete results are memoized — a degraded or partial
-            // answer set must never be served as complete later.
-            if matches!(sub.outcomes[sub_idx], QueryOutcome::Complete) {
-                if let (Some(key), Some(record)) = (&keys[i], &sub.records[sub_idx]) {
-                    memo.insert(
-                        key.clone(),
-                        AnswerEntry {
-                            answers: record.answers.clone(),
-                            candidate_count: record.candidate_count,
-                            candidates_pruned: record.candidates_pruned,
-                        },
-                    );
-                }
-            }
-            records[i] = sub.records[sub_idx].take();
-            outcomes[i] = sub.outcomes[sub_idx];
-        }
-        BatchReport {
-            records,
-            outcomes,
-            totals,
-            wall_s: watch.elapsed_secs(),
-            workers: sub.workers,
-        }
-    }
-
-    /// Warm-up helper: pre-sizes every worker's arena pool with one set for
-    /// the index's universe, so even a batch's first queries filter into
-    /// recycled memory.
-    pub fn prewarm(&mut self) {
-        let universe = self.index.universe();
-        for arena in &mut self.arenas {
-            if arena.pooled_sets() == 0 {
-                arena.recycle(CandidateSet::empty(universe));
-            }
-        }
-    }
-}
-
-/// Runs one batch of queries through the pipelined worker pool, drawing the
-/// per-worker candidate arenas from `arenas` (which persist across calls —
-/// this is the body of [`QueryService::run_batch`], factored out so callers
-/// that *own* their index and dataset, like the sharded service's per-shard
-/// pools, can reuse it without the service's borrowed-lifetime plumbing).
+/// Runs one batch of queries through the pipelined worker pool of one
+/// shard, drawing the per-worker candidate arenas from `arenas` (which
+/// persist across calls). This is the per-shard kernel of
+/// [`ShardedService`]: each shard executor calls it once per job.
 ///
 /// `deadline` is the batch-wide cutoff; `per_query` optionally attaches an
 /// individual deadline to each query (indexed like `queries`); `faults`
@@ -462,7 +109,14 @@ impl<'a> QueryService<'a> {
 /// `queries`); `cache` optionally shares a cross-query feature-bitset
 /// store with every worker's filter stage (see
 /// [`sqbench_index::GraphIndex::filter_into_cached`]). Workers spawn up to
-/// `arenas.len()` strong, clamped to the batch size.
+/// `arenas.len()` strong, clamped to the batch size; one worker runs in
+/// place, in batch order.
+///
+/// Returns one `(outcome, record)` pair per query, indexed like `queries`.
+/// At this layer the outcome is `Complete` (record present), `TimedOut`
+/// (skipped on deadline) or `Failed` (the query's execution panicked, or
+/// its worker died before reporting); the sharded merge refines these
+/// across shards.
 #[allow(clippy::too_many_arguments)] // internal fan-in point: every shard caller threads the same set
 pub(crate) fn run_batch_on(
     index: &dyn GraphIndex,
@@ -473,10 +127,9 @@ pub(crate) fn run_batch_on(
     per_query: Option<&[Option<Instant>]>,
     faults: Option<WaveFaults<'_>>,
     cache: Option<&dyn FeatureCacheStore>,
-) -> BatchReport {
+) -> Vec<(QueryOutcome, Option<QueryRecord>)> {
     let workers = arenas.len().min(queries.len()).max(1);
     let shared = BatchShared::with_deadlines(queries, workers, deadline, per_query, faults, cache);
-    let watch = Stopwatch::start();
     let completed: Vec<Vec<(usize, QueryOutcome, Option<QueryRecord>)>> = if workers == 1 {
         // In-place fast path: no thread spawn, strict batch order.
         vec![worker_loop(0, &shared, index, dataset, &mut arenas[0])]
@@ -499,38 +152,14 @@ pub(crate) fn run_batch_on(
             handles.into_iter().filter_map(|h| h.join().ok()).collect()
         })
     };
-    let wall_s = watch.elapsed_secs();
-
-    let mut records: Vec<Option<QueryRecord>> = Vec::new();
-    records.resize_with(queries.len(), || None);
     // Failed-by-default: a query nobody reported (its worker died) must
     // still carry an explicit outcome.
-    let mut outcomes = vec![QueryOutcome::Failed; queries.len()];
-    let mut totals = StageTotals::default();
+    let mut results: Vec<(QueryOutcome, Option<QueryRecord>)> =
+        vec![(QueryOutcome::Failed, None); queries.len()];
     for (idx, outcome, record) in completed.into_iter().flatten() {
-        if let Some(r) = &record {
-            totals.add_query(
-                r.queue_wait_s,
-                r.cache_probe_s,
-                r.filter_s,
-                r.verify_s,
-                r.candidates_pruned,
-            );
-            // Unsharded latency = the query's summed stage walk (it runs
-            // on one worker start to finish; the sharded merge overrides
-            // this with true submission-to-finalize time).
-            totals.observe_latency(r.queue_wait_s + r.cache_probe_s + r.filter_s + r.verify_s);
-        }
-        records[idx] = record;
-        outcomes[idx] = outcome;
+        results[idx] = (outcome, record);
     }
-    BatchReport {
-        records,
-        outcomes,
-        totals,
-        wall_s,
-        workers,
-    }
+    results
 }
 
 #[cfg(test)]
@@ -540,7 +169,7 @@ mod tests {
     use sqbench_index::{build_index, MethodConfig, MethodKind};
     use std::time::Duration;
 
-    fn setup(graphs: usize) -> (Dataset, Vec<sqbench_graph::Graph>) {
+    fn setup(graphs: usize) -> (Dataset, Vec<Graph>) {
         let ds = GraphGen::new(
             GraphGenConfig::default()
                 .with_graph_count(graphs)
@@ -551,48 +180,63 @@ mod tests {
         )
         .generate();
         let workload = QueryGen::new(5).generate(&ds, 8, 4);
-        let queries: Vec<sqbench_graph::Graph> = workload.iter().map(|(q, _)| q.clone()).collect();
+        let queries: Vec<Graph> = workload.iter().map(|(q, _)| q.clone()).collect();
         (ds, queries)
     }
 
-    #[test]
-    fn single_worker_batch_equals_one_shot_queries() {
-        let (ds, queries) = setup(16);
-        let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
-        let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new());
-        let report = service.run_batch(&refs, None);
-        assert_eq!(report.workers, 1);
-        assert_eq!(report.executed(), queries.len());
-        assert!(!report.timed_out());
-        for (record, query) in report.records.iter().zip(queries.iter()) {
-            let record = record.as_ref().expect("executed");
-            let outcome = index.query(&ds, query);
-            assert_eq!(record.answers, outcome.answers);
-            assert_eq!(record.candidate_count, outcome.candidates.len());
-        }
-        assert_eq!(report.totals.queries as usize, queries.len());
-        assert!(report.totals.filter_s >= 0.0);
+    fn arenas(workers: usize) -> Vec<WorkerArena> {
+        (0..workers).map(|_| WorkerArena::default()).collect()
+    }
+
+    /// Runs the kernel with no deadlines, faults or cache.
+    fn plain_batch(
+        index: &dyn GraphIndex,
+        ds: &Dataset,
+        arenas: &mut [WorkerArena],
+        queries: &[&Graph],
+    ) -> Vec<(QueryOutcome, Option<QueryRecord>)> {
+        run_batch_on(index, ds, arenas, queries, None, None, None, None)
+    }
+
+    fn one_shard(kind: MethodKind, ds: &Dataset, opts: ServiceOptions) -> ShardedService {
+        ShardedService::new(kind, &MethodConfig::fast(), ds, opts.shards(1))
     }
 
     #[test]
-    fn multi_worker_batch_matches_single_worker_answers() {
+    fn single_shard_single_worker_equals_one_shot_queries() {
+        let (ds, queries) = setup(16);
+        let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
+        let refs: Vec<&Graph> = queries.iter().collect();
+        let mut service = one_shard(MethodKind::Ggsx, &ds, ServiceOptions::new());
+        let report = service.run_wave(&refs, None);
+        assert_eq!(report.complete(), queries.len());
+        for (record, query) in report.records.iter().zip(queries.iter()) {
+            let outcome = index.query(&ds, query);
+            assert_eq!(record.answers, outcome.answers);
+            assert_eq!(record.candidate_count, outcome.candidates.len());
+            assert_eq!(record.shards_probed, 1);
+        }
+        assert_eq!(report.totals.queries as usize, queries.len());
+        assert_eq!(report.per_shard.len(), 1);
+        assert_eq!(report.per_shard[0].queries as usize, queries.len());
+    }
+
+    #[test]
+    fn multi_worker_shard_matches_single_worker_answers() {
         let (ds, queries) = setup(20);
         let refs: Vec<&Graph> = queries.iter().collect();
         for kind in MethodKind::ALL {
-            let index = build_index(kind, &MethodConfig::fast(), &ds);
-            let mut serial = QueryService::new(&*index, &ds, ServiceOptions::new().workers(1));
-            let serial_report = serial.run_batch(&refs, None);
-            let mut pooled = QueryService::new(&*index, &ds, ServiceOptions::new().workers(4));
-            let pooled_report = pooled.run_batch(&refs, None);
-            assert_eq!(pooled_report.workers, 4.min(queries.len()));
+            let mut serial = one_shard(kind, &ds, ServiceOptions::new().workers(1));
+            let serial_report = serial.run_wave(&refs, None);
+            let mut pooled = one_shard(kind, &ds, ServiceOptions::new().workers(4));
+            let pooled_report = pooled.run_wave(&refs, None);
+            assert_eq!(pooled.worker_high_water(), vec![4]);
             for (i, (s, p)) in serial_report
                 .records
                 .iter()
                 .zip(pooled_report.records.iter())
                 .enumerate()
             {
-                let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
                 assert_eq!(
                     s.answers,
                     p.answers,
@@ -608,18 +252,18 @@ mod tests {
         let (ds, queries) = setup(16);
         let index = build_index(MethodKind::GIndex, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(2));
-        service.prewarm();
-        let prewarmed = service.pooled_sets();
-        assert_eq!(prewarmed, 2);
-        let first = service.run_batch(&refs, None);
-        // Every arena returned to a pool; no set leaked into jobs.
-        assert!(service.pooled_sets() >= prewarmed);
-        let second = service.run_batch(&refs, None);
-        assert_eq!(first.executed(), second.executed());
-        for (a, b) in first.records.iter().zip(second.records.iter()) {
+        let mut pool = arenas(2);
+        let first = plain_batch(&*index, &ds, &mut pool, &refs);
+        let second = plain_batch(&*index, &ds, &mut pool, &refs);
+        for ((oa, a), (ob, b)) in first.iter().zip(second.iter()) {
+            assert_eq!((*oa, *ob), (QueryOutcome::Complete, QueryOutcome::Complete));
             assert_eq!(a.as_ref().unwrap().answers, b.as_ref().unwrap().answers);
         }
+        // Every set went back to a worker's pool: a take now yields a
+        // recycled set already targeted at the index's universe.
+        assert!(pool
+            .iter_mut()
+            .any(|arena| arena.take_set().universe() == ds.len()));
     }
 
     #[test]
@@ -627,50 +271,29 @@ mod tests {
         let (ds, queries) = setup(10);
         let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(2));
         let past = Instant::now() - Duration::from_secs(1);
-        let report = service.run_batch(&refs, Some(past));
-        assert!(report.timed_out());
-        assert_eq!(report.executed(), 0);
-        assert_eq!(report.false_positive_ratio(), 0.0);
-        assert_eq!(report.throughput_qps(), 0.0);
+        let results = run_batch_on(
+            &*index,
+            &ds,
+            &mut arenas(2),
+            &refs,
+            Some(past),
+            None,
+            None,
+            None,
+        );
+        assert_eq!(results.len(), refs.len());
+        for (outcome, record) in &results {
+            assert_eq!(*outcome, QueryOutcome::TimedOut);
+            assert!(record.is_none());
+        }
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
         let (ds, _) = setup(6);
         let index = build_index(MethodKind::GCode, &MethodConfig::fast(), &ds);
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(3));
-        let report = service.run_batch(&[], None);
-        assert_eq!(report.records.len(), 0);
-        assert_eq!(report.executed(), 0);
-        assert!(!report.timed_out());
-    }
-
-    /// Empty batches must not leak NaN (0/0) or infinity into the metrics
-    /// that end up in CSV reports — every ratio degrades to exactly 0.0.
-    #[test]
-    fn empty_batch_divisions_are_zero_not_nan() {
-        let report = BatchReport {
-            records: Vec::new(),
-            outcomes: Vec::new(),
-            totals: StageTotals::default(),
-            wall_s: 0.0, // degenerate wall time on top of zero queries
-            workers: 1,
-        };
-        assert_eq!(report.false_positive_ratio(), 0.0);
-        assert_eq!(report.throughput_qps(), 0.0);
-        assert!(report.false_positive_ratio().is_finite());
-        assert!(report.throughput_qps().is_finite());
-        let corrupt = BatchReport {
-            records: vec![None],
-            outcomes: vec![QueryOutcome::TimedOut],
-            totals: StageTotals::default(),
-            wall_s: f64::NAN,
-            workers: 1,
-        };
-        assert_eq!(corrupt.throughput_qps(), 0.0);
-        assert_eq!(corrupt.false_positive_ratio(), 0.0);
+        assert!(plain_batch(&*index, &ds, &mut arenas(3), &[]).is_empty());
     }
 
     #[test]
@@ -678,26 +301,34 @@ mod tests {
         let (ds, queries) = setup(12);
         let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(2));
         let past = Instant::now() - Duration::from_secs(1);
         let mut per_query: Vec<Option<Instant>> = vec![None; refs.len()];
         per_query[1] = Some(past);
         per_query[4] = Some(past);
-        let report = service.run_batch_with_deadlines(&refs, None, &per_query);
-        assert!(report.timed_out());
-        assert_eq!(report.executed(), refs.len() - 2);
-        for (i, record) in report.records.iter().enumerate() {
+        let results = run_batch_on(
+            &*index,
+            &ds,
+            &mut arenas(2),
+            &refs,
+            None,
+            Some(&per_query),
+            None,
+            None,
+        );
+        for (i, (outcome, record)) in results.iter().enumerate() {
             if i == 1 || i == 4 {
+                assert_eq!(*outcome, QueryOutcome::TimedOut, "expired query {i}");
                 assert!(record.is_none(), "expired query {i} must be skipped");
             } else {
+                assert_eq!(*outcome, QueryOutcome::Complete);
                 let record = record.as_ref().expect("live query executed");
                 assert_eq!(record.answers, index.query(&ds, &queries[i]).answers);
             }
         }
     }
 
-    /// Tentpole: a query whose verify stage panics is recorded as `Failed`
-    /// while every other query of the batch still completes — on the
+    /// A query whose verify stage panics is recorded as `Failed` while
+    /// every other query of the batch still completes — on the
     /// single-worker fast path and on a multi-worker pool (where the
     /// panicking claim must not deadlock the other workers' drain).
     #[test]
@@ -709,12 +340,10 @@ mod tests {
         let tickets: Vec<Ticket> = (0..refs.len() as u64).collect();
         for workers in [1usize, 4] {
             let plan = FaultPlan::new().panic_in_verify(2, 1).panic_in_verify(5, 1);
-            let mut arenas: Vec<WorkerArena> =
-                (0..workers).map(|_| WorkerArena::default()).collect();
-            let report = run_batch_on(
+            let results = run_batch_on(
                 &*index,
                 &ds,
-                &mut arenas,
+                &mut arenas(workers),
                 &refs,
                 None,
                 None,
@@ -725,15 +354,7 @@ mod tests {
                 None,
             );
             assert_eq!(plan.injected_panics(), 2, "{workers} workers");
-            assert_eq!(report.failed(), 2);
-            assert_eq!(report.executed(), refs.len() - 2);
-            assert!(!report.timed_out());
-            for (i, (record, outcome)) in report
-                .records
-                .iter()
-                .zip(report.outcomes.iter())
-                .enumerate()
-            {
+            for (i, (outcome, record)) in results.iter().enumerate() {
                 if i == 2 || i == 5 {
                     assert_eq!(*outcome, QueryOutcome::Failed);
                     assert!(record.is_none());
@@ -747,40 +368,39 @@ mod tests {
     }
 
     /// The fault hook really is zero-cost-off: a fault-free batch reports
-    /// all-complete outcomes and bit-identical answers with `faults: None`.
+    /// all-complete outcomes with `faults: None`.
     #[test]
     fn fault_free_batch_reports_all_complete() {
         let (ds, queries) = setup(10);
         let index = build_index(MethodKind::Grapes, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(3));
-        let report = service.run_batch(&refs, None);
-        assert_eq!(report.failed(), 0);
-        assert!(report.outcomes.iter().all(|o| *o == QueryOutcome::Complete));
+        let results = plain_batch(&*index, &ds, &mut arenas(3), &refs);
+        assert!(results
+            .iter()
+            .all(|(o, r)| *o == QueryOutcome::Complete && r.is_some()));
     }
 
-    /// Tentpole: with the feature cache enabled, answers stay bit-identical
-    /// to the uncached service for every participating method, and the
-    /// caching methods actually hit on a repeated batch.
+    /// With the feature cache enabled, answers stay bit-identical to the
+    /// uncached service for every participating method, and the caching
+    /// methods actually hit on a repeated wave.
     #[test]
     fn feature_cache_keeps_answers_identical() {
         let (ds, queries) = setup(18);
         let refs: Vec<&Graph> = queries.iter().collect();
         for kind in MethodKind::ALL {
-            let index = build_index(kind, &MethodConfig::fast(), &ds);
-            let mut cold = QueryService::new(&*index, &ds, ServiceOptions::new());
-            let cold_report = cold.run_batch(&refs, None);
-            let mut warm = QueryService::new(
-                &*index,
+            let mut cold = one_shard(kind, &ds, ServiceOptions::new());
+            let cold_report = cold.run_wave(&refs, None);
+            let mut warm = one_shard(
+                kind,
                 &ds,
                 ServiceOptions::new().cache(CachePolicy {
                     feature_capacity: 512,
                     answer_capacity: 0,
                 }),
             );
-            // Two batches: the first populates, the second probes hot.
-            warm.run_batch(&refs, None);
-            let warm_report = warm.run_batch(&refs, None);
+            // Two waves: the first populates, the second probes hot.
+            warm.run_wave(&refs, None);
+            let warm_report = warm.run_wave(&refs, None);
             for (i, (c, w)) in cold_report
                 .records
                 .iter()
@@ -788,8 +408,8 @@ mod tests {
                 .enumerate()
             {
                 assert_eq!(
-                    c.as_ref().unwrap().answers,
-                    w.as_ref().unwrap().answers,
+                    c.answers,
+                    w.answers,
                     "{}: cached answers diverged on query {i}",
                     kind.name()
                 );
@@ -799,7 +419,7 @@ mod tests {
                 MethodKind::Ggsx | MethodKind::Grapes | MethodKind::GIndex => {
                     assert!(
                         counters.feature_hits > 0,
-                        "{} participates and must hit on a repeat batch",
+                        "{} participates and must hit on a repeat wave",
                         kind.name()
                     );
                 }
@@ -818,48 +438,46 @@ mod tests {
         }
     }
 
-    /// Tentpole: the answer memo serves a repeated batch entirely from the
-    /// memo — zero filter/verify work — with bit-identical answers.
+    /// The answer memo serves a repeated wave entirely from the memo —
+    /// zero filter/verify work, no shard probed — with bit-identical
+    /// answers.
     #[test]
     fn answer_memo_serves_repeat_batches_identically() {
         let (ds, queries) = setup(16);
-        let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(
-            &*index,
+        let mut service = one_shard(
+            MethodKind::Ggsx,
             &ds,
             ServiceOptions::new().workers(2).cache(CachePolicy {
                 feature_capacity: 0,
                 answer_capacity: 64,
             }),
         );
-        let first = service.run_batch(&refs, None);
+        let first = service.run_wave(&refs, None);
         let eligible = queries
             .iter()
             .filter(|q| answer_memo_key(q).is_some())
             .count();
         assert!(eligible > 0, "workload must contain memo-eligible queries");
-        let second = service.run_batch(&refs, None);
-        assert_eq!(second.executed(), refs.len());
+        let second = service.run_wave(&refs, None);
+        assert_eq!(second.complete(), refs.len());
         for (i, (a, b)) in first.records.iter().zip(second.records.iter()).enumerate() {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.answers, b.answers, "memo answers diverged on query {i}");
             assert_eq!(a.candidate_count, b.candidate_count);
         }
         let counters = service.cache_counters();
         assert_eq!(counters.answer_hits, eligible as u64);
         // Memo-served queries do no filter or verify work.
-        let hit_records: Vec<&QueryRecord> = second
+        let hits = second
             .records
             .iter()
-            .flatten()
-            .filter(|r| r.filter_s == 0.0 && r.verify_s == 0.0)
-            .collect();
-        assert_eq!(hit_records.len(), eligible);
-        // Invalidation drops every entry: the next batch misses again.
+            .filter(|r| r.shards_probed == 0 && r.filter_s == 0.0 && r.verify_s == 0.0)
+            .count();
+        assert_eq!(hits, eligible);
+        // Invalidation drops every entry: the next wave misses again.
         service.invalidate_caches();
-        let third = service.run_batch(&refs, None);
-        assert_eq!(third.executed(), refs.len());
+        let third = service.run_wave(&refs, None);
+        assert_eq!(third.complete(), refs.len());
         assert_eq!(service.cache_counters().answer_hits, eligible as u64);
     }
 
@@ -868,10 +486,14 @@ mod tests {
         let (ds, queries) = setup(8);
         let index = build_index(MethodKind::CtIndex, &MethodConfig::fast(), &ds);
         let two: Vec<&Graph> = queries.iter().take(2).collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(16));
-        assert_eq!(service.worker_count(), 16);
-        let report = service.run_batch(&two, None);
-        assert_eq!(report.workers, 2, "batch must not spawn idle workers");
-        assert_eq!(report.executed(), 2);
+        let mut pool = arenas(16);
+        let results = plain_batch(&*index, &ds, &mut pool, &two);
+        assert!(results.iter().all(|(o, _)| *o == QueryOutcome::Complete));
+        // The batch must not spawn idle workers: arenas past the batch
+        // size were never touched, so they hold no recycled set.
+        assert!(
+            pool[2..].iter_mut().all(|a| a.take_set().universe() == 0),
+            "batch must not spawn idle workers"
+        );
     }
 }

@@ -1,13 +1,5 @@
-//! The unified, layered service configuration surface.
-//!
-//! Before this module the serving stack had three parallel config surfaces
-//! that each grew their own `with_*` chain — `RunOptions` (runner),
-//! `ServiceConfig` (worker pool) and `ShardedConfig` (sharded service) —
-//! and every new knob had to be threaded through all three.
-//! [`ServiceOptions`] collapses them: one builder describes a whole
-//! service, and every layer reads the part it cares about. The legacy
-//! types survive as deprecated `From` shims so existing callers keep
-//! compiling.
+//! The one service configuration surface: a single builder describes a
+//! whole service, and every layer reads the part it cares about.
 //!
 //! ```
 //! use sqbench_harness::service::{CachePolicy, RoutingMode, ServiceOptions, ShardStrategy};
@@ -27,13 +19,11 @@ use super::sharded::{RetryPolicy, ShardStrategy};
 use super::synopsis::RoutingMode;
 use std::sync::Arc;
 
-/// One description of a whole query service, unsharded or sharded. Every
-/// constructor of the serving stack takes it (directly or via
-/// `impl Into<ServiceOptions>`): [`super::QueryService::new`] reads
-/// `workers` and `cache`, [`super::sharded::ShardedService::new`] reads
-/// all of it, [`super::admission::AdmissionQueue::new`] reads
-/// `queue_capacity` and `faults`. Cache knobs live **only** here — they
-/// were deliberately never added to the legacy surfaces.
+/// One description of a whole query service, one shard or many. Every
+/// constructor of the serving stack takes it:
+/// [`super::sharded::ShardedService::new`] reads all of it,
+/// [`super::admission::AdmissionQueue::new`] reads `queue_capacity` and
+/// `faults`.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
     /// Worker threads per pool (per shard when sharded). Clamped to ≥ 1.
@@ -46,8 +36,8 @@ pub struct ServiceOptions {
     /// default of 1 — are clamped up to `workers` at use, which disables
     /// scaling: the pool stays at its fixed size.
     pub workers_max: usize,
-    /// Dataset shards; `1` means the plain unsharded service. Clamped to
-    /// ≥ 1 by the constructors.
+    /// Dataset shards; `1` is the unsharded service (one shard holding the
+    /// whole dataset). Clamped to ≥ 1 by the constructors.
     pub shards: usize,
     /// How graphs are placed onto shards.
     pub strategy: ShardStrategy,
@@ -145,27 +135,6 @@ impl ServiceOptions {
     }
 }
 
-#[allow(deprecated)]
-impl From<super::ServiceConfig> for ServiceOptions {
-    fn from(config: super::ServiceConfig) -> Self {
-        ServiceOptions::new().workers(config.workers)
-    }
-}
-
-#[allow(deprecated)]
-impl From<super::sharded::ShardedConfig> for ServiceOptions {
-    fn from(config: super::sharded::ShardedConfig) -> Self {
-        let mut opts = ServiceOptions::new()
-            .workers(config.workers_per_shard)
-            .shards(config.shards)
-            .strategy(config.strategy)
-            .routing(config.routing)
-            .retry(config.retry);
-        opts.faults = config.faults;
-        opts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,27 +171,5 @@ mod tests {
         let scaled = ServiceOptions::new().workers(2).workers_max(8);
         assert_eq!(scaled.workers_max, 8);
         assert_eq!(ServiceOptions::new().workers_max(0).workers_max, 1);
-    }
-
-    /// The legacy config types convert losslessly — the delegating shims
-    /// depend on it.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_configs_convert() {
-        let from_service: ServiceOptions = super::super::ServiceConfig::with_workers(3).into();
-        assert_eq!(from_service.workers, 3);
-        assert_eq!(from_service.shards, 1);
-
-        let from_sharded: ServiceOptions = super::super::sharded::ShardedConfig::with_shards(4)
-            .workers_per_shard(2)
-            .routing(RoutingMode::Synopsis)
-            .into();
-        assert_eq!(from_sharded.shards, 4);
-        assert_eq!(from_sharded.workers, 2);
-        assert_eq!(from_sharded.routing, RoutingMode::Synopsis);
-        assert!(
-            from_sharded.cache.is_disabled(),
-            "cache knobs are new-surface-only"
-        );
     }
 }

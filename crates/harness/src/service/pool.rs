@@ -3,8 +3,8 @@
 //!
 //! Workers are *scoped to a batch* (spawned with `std::thread::scope` so
 //! they can borrow the index and dataset), but their arenas belong to the
-//! [`crate::service::QueryService`] and persist across batches — after the
-//! first batch a worker's filter stage runs entirely in recycled memory.
+//! shard and persist across waves — after the first wave a worker's filter
+//! stage runs entirely in recycled memory.
 
 use super::admission::Ticket;
 use super::fault::FaultPlan;
@@ -37,11 +37,6 @@ impl WorkerArena {
     /// Returns a set to the pool for reuse.
     pub fn recycle(&mut self, set: CandidateSet) {
         self.free_sets.push(set);
-    }
-
-    /// Number of sets currently pooled (diagnostics/tests).
-    pub fn pooled_sets(&self) -> usize {
-        self.free_sets.len()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Request queue primitives of the batch query service.
+//! Request queue primitives of a shard's worker pool.
 //!
 //! Two queues drive the pipeline:
 //!
@@ -37,14 +37,10 @@ pub struct BatchQueue<'q> {
 }
 
 impl<'q> BatchQueue<'q> {
-    /// Wraps a batch of queries as a queue; queue waits are measured from
-    /// this call.
-    pub fn new(queries: &'q [&'q Graph]) -> Self {
-        Self::with_deadlines(queries, None)
-    }
-
-    /// Like [`BatchQueue::new`], but attaching a per-query deadline slice
-    /// (indexed like `queries`; `None` entries mean no individual deadline).
+    /// Wraps a batch of queries as a queue, attaching an optional
+    /// per-query deadline slice (indexed like `queries`; `None` entries
+    /// mean no individual deadline). Queue waits are measured from this
+    /// call.
     ///
     /// # Panics
     ///
@@ -72,16 +68,6 @@ impl<'q> BatchQueue<'q> {
     /// The individual deadline attached to query `idx`, if any.
     pub fn deadline_of(&self, idx: usize) -> Option<Instant> {
         self.deadlines.and_then(|d| d.get(idx).copied().flatten())
-    }
-
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// `true` for an empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
     }
 
     /// Claims the next unstarted query: `(index, query, queue wait in
@@ -151,11 +137,6 @@ impl<T> StealDeque<T> {
     pub fn len(&self) -> usize {
         self.jobs().len()
     }
-
-    /// `true` when no job is parked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -167,8 +148,7 @@ mod tests {
     fn claims_are_exclusive_and_ordered() {
         let g = Graph::new("q");
         let queries: Vec<&Graph> = vec![&g, &g, &g];
-        let queue = BatchQueue::new(&queries);
-        assert_eq!(queue.len(), 3);
+        let queue = BatchQueue::with_deadlines(&queries, None);
         let (i0, _, w0) = queue.claim().unwrap();
         let (i1, _, _) = queue.claim().unwrap();
         let (i2, _, _) = queue.claim().unwrap();
@@ -192,7 +172,7 @@ mod tests {
         assert_eq!(queue.deadline_of(0), Some(past));
         assert_eq!(queue.deadline_of(1), None);
         assert_eq!(queue.deadline_of(7), None); // out of range is just "none"
-        let plain = BatchQueue::new(&queries);
+        let plain = BatchQueue::with_deadlines(&queries, None);
         assert_eq!(plain.deadline_of(0), None);
     }
 
@@ -208,8 +188,7 @@ mod tests {
     #[test]
     fn empty_batch_is_immediately_drained() {
         let queries: Vec<&Graph> = Vec::new();
-        let queue = BatchQueue::new(&queries);
-        assert!(queue.is_empty());
+        let queue = BatchQueue::with_deadlines(&queries, None);
         assert!(queue.claim().is_none());
         assert!(queue.drained());
     }
@@ -224,7 +203,7 @@ mod tests {
         assert_eq!(deque.steal(), Some(1)); // oldest
         assert_eq!(deque.pop(), Some(3)); // newest
         assert_eq!(deque.pop(), Some(2));
-        assert!(deque.is_empty());
+        assert_eq!(deque.len(), 0);
         assert_eq!(deque.pop(), None);
         assert_eq!(deque.steal(), None);
     }

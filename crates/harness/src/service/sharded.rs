@@ -2,10 +2,11 @@
 //! shard, fan every query wave out to all shard pools concurrently, and
 //! merge the per-shard match sets back into global answers.
 //!
-//! The paper's study (and the batch [`QueryService`]) serves one index over
-//! one dataset. That stops scaling when the dataset outgrows a single
-//! index build — the regime the billion-node partition-then-match line of
-//! work targets. This module generalizes the serving path to N shards:
+//! The paper's study serves one index over one dataset. That stops
+//! scaling when the dataset outgrows a single index build — the regime the
+//! billion-node partition-then-match line of work targets. This module is
+//! the one serving path for any shard count; one shard is the unsharded
+//! service:
 //!
 //! ```text
 //!              ┌────────────────────── ShardedService ──────────────────────┐
@@ -36,9 +37,9 @@
 //!   **shares** graph storage with the source dataset (`Arc` handles, no
 //!   deep copies), so partitioning costs pointers, not bytes.
 //! * **Per-shard pools** — each shard owns its dataset slice, its index and
-//!   its worker arenas; a wave runs one [`run_batch_on`] pool per shard on
-//!   scoped threads, so shards progress concurrently and arenas persist
-//!   across waves exactly like the single-index service.
+//!   its worker arenas; a wave runs one `run_batch_on` pool per shard on
+//!   the shard's persistent executor thread, so shards progress
+//!   concurrently and arenas persist across waves.
 //! * **Router** — before fan-out, the wave consults the per-shard
 //!   [`Router`] synopses (under [`RoutingMode::Synopsis`]) and dispatches
 //!   each query only to shards that can possibly hold a match; skipped
@@ -47,8 +48,8 @@
 //!   [`ShardedQueryRecord::shards_skipped`] account for the savings.
 //! * **Merge** — per query, shard-local answer ids are mapped through the
 //!   shard's id table and unioned. Shards partition the dataset, so the
-//!   union is disjoint and the merged answer set is *bit-identical* to the
-//!   unsharded service's (verification is exact on every shard); only
+//!   union is disjoint and the merged answer set is *bit-identical* to a
+//!   one-shard service's (verification is exact on every shard); only
 //!   filtering power — and therefore candidate counts — may differ, because
 //!   each shard mines/encodes features over its own slice.
 //!
@@ -174,84 +175,6 @@ impl RetryPolicy {
             }
             None => now.checked_add(backoff),
         }
-    }
-}
-
-/// Legacy configuration of a [`ShardedService`], kept as a compatibility
-/// shim: it converts into [`ServiceOptions`] (the unified surface) and
-/// carries only the pre-cache knobs — cache policy never landed here.
-#[deprecated(note = "use ServiceOptions — e.g. ServiceOptions::new().shards(n).workers(w)")]
-#[derive(Debug, Clone)]
-pub struct ShardedConfig {
-    /// Number of shards (clamped to at least 1).
-    pub shards: usize,
-    /// Worker threads per shard pool (clamped to at least 1).
-    pub workers_per_shard: usize,
-    /// How graphs are assigned to shards.
-    pub strategy: ShardStrategy,
-    /// Whether waves fan out to every shard or consult the per-shard
-    /// synopses and probe only shards that can possibly hold a match.
-    pub routing: RoutingMode,
-    /// Retry policy for failed per-shard executions.
-    pub retry: RetryPolicy,
-    /// Deterministic fault-injection plan (tests/soaks only). `None` — the
-    /// default — is the zero-cost production path.
-    pub faults: Option<Arc<FaultPlan>>,
-}
-
-#[allow(deprecated)]
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        ShardedConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            strategy: ShardStrategy::RoundRobin,
-            routing: RoutingMode::Fanout,
-            retry: RetryPolicy::default(),
-            faults: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl ShardedConfig {
-    /// A config with the given shard count (one worker per shard,
-    /// round-robin placement).
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedConfig {
-            shards: shards.max(1),
-            ..Default::default()
-        }
-    }
-
-    /// Sets the partitioning strategy.
-    pub fn strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the per-shard worker-pool size.
-    pub fn workers_per_shard(mut self, workers: usize) -> Self {
-        self.workers_per_shard = workers.max(1);
-        self
-    }
-
-    /// Sets the routing mode (see [`RoutingMode`]).
-    pub fn routing(mut self, routing: RoutingMode) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Sets the retry policy for failed per-shard executions.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Arms a deterministic fault-injection plan (see [`FaultPlan`]).
-    pub fn faults(mut self, faults: Arc<FaultPlan>) -> Self {
-        self.faults = Some(faults);
-        self
     }
 }
 
@@ -547,7 +470,7 @@ fn spawn_shard_executor(setup: ExecutorSetup) -> JoinHandle<()> {
                     job.items.iter().map(|it| it.deadline).collect();
                 let tickets: Vec<Ticket> = job.items.iter().map(|it| it.ticket).collect();
                 let store = core.features.as_ref().map(|f| f as &dyn FeatureCacheStore);
-                let mut report = run_batch_on(
+                let mut results = run_batch_on(
                     &*core.index,
                     &core.dataset,
                     &mut core.arenas,
@@ -560,21 +483,21 @@ fn spawn_shard_executor(setup: ExecutorSetup) -> JoinHandle<()> {
                     }),
                     store,
                 );
-                for record in report.records.iter_mut().flatten() {
+                for record in results.iter_mut().filter_map(|(_, r)| r.as_mut()) {
                     for answer in &mut record.answers {
                         *answer = core.to_global[*answer];
                     }
                 }
-                report
+                results
             }));
             match outcome {
-                Ok(mut report) => {
-                    for (i, item) in job.items.iter().enumerate() {
+                Ok(results) => {
+                    for (item, (outcome, record)) in job.items.iter().zip(results) {
                         let _ = job.reply.send(WaveEvent {
                             shard: s,
                             slot: item.slot,
-                            outcome: report.outcomes[i],
-                            record: report.records[i].take(),
+                            outcome,
+                            record,
                         });
                     }
                 }
@@ -808,15 +731,13 @@ impl ShardedService {
     /// them). Building is sequential per shard; the returned service
     /// serves waves across all shards concurrently.
     ///
-    /// `opts.workers` is the pool size *per shard* (the legacy
-    /// `workers_per_shard` knob).
+    /// `opts.workers` is the pool size *per shard*.
     pub fn new(
         kind: MethodKind,
         method_config: &MethodConfig,
         dataset: &Dataset,
-        opts: impl Into<ServiceOptions>,
+        opts: ServiceOptions,
     ) -> Self {
-        let opts: ServiceOptions = opts.into();
         let workers = opts.workers.max(1);
         let workers_max = opts.workers_max.max(workers);
         let parts = partition_dataset(dataset, opts.shards, opts.strategy);
@@ -828,9 +749,9 @@ impl ShardedService {
             .iter()
             .map(|part| part.dataset.owned_memory_bytes())
             .sum();
-        // The router is always built (one cheap pass per shard slice) so a
-        // service can serve both modes and diagnostics can inspect the
-        // synopses; `routing` only decides whether waves consult it.
+        // The router is always built (one cheap synopsis pass per shard
+        // slice): online placement reads it under every routing mode, and
+        // `routing` only decides whether waves consult it.
         let router = Router::build(parts.iter().map(|p| &p.dataset));
         let shards: Vec<Shard> = parts
             .into_iter()
@@ -878,20 +799,6 @@ impl ShardedService {
             partition_overhead_bytes,
             next_global_id: dataset.len(),
         }
-    }
-
-    /// Legacy constructor over the deprecated [`ShardedConfig`]; delegates
-    /// to [`ShardedService::new`] (which accepts a `ShardedConfig` via
-    /// `Into<ServiceOptions>`).
-    #[deprecated(note = "use ShardedService::new with ServiceOptions")]
-    #[allow(deprecated)]
-    pub fn build(
-        kind: MethodKind,
-        method_config: &MethodConfig,
-        dataset: &Dataset,
-        config: &ShardedConfig,
-    ) -> Self {
-        Self::new(kind, method_config, dataset, config.clone())
     }
 
     /// Incremental heap bytes the shard partition added on top of the
@@ -1051,11 +958,10 @@ impl ShardedService {
         let global = self.next_global_id;
         self.next_global_id += 1;
         let shard_idx = self.place(&graph, global);
-        let synopsis = GraphSynopsis::of(&graph);
         // Widen the routing tier before the graph moves into the shard:
         // `insert_graph` holds `&mut self`, so no wave can observe the
         // widened router ahead of the actual insert.
-        self.router.absorb(shard_idx, &graph, &synopsis);
+        self.router.absorb(shard_idx, &GraphSynopsis::of(&graph));
         {
             let mut core = self.shards[shard_idx].lock();
             // The index assigns the same local id the dataset push does:
@@ -1085,7 +991,7 @@ impl ShardedService {
     /// never narrows below the shard's live contents.
     pub fn remove_graph(&mut self, global_id: GraphId) -> bool {
         for s in 0..self.shards.len() {
-            let recomputed = {
+            let synopsis = {
                 let mut core = self.shards[s].lock();
                 let Ok(local) = core.to_global.binary_search(&global_id) else {
                     continue;
@@ -1096,13 +1002,9 @@ impl ShardedService {
                 }
                 let index_removed = core.index.remove(local);
                 debug_assert!(index_removed, "dataset and index tombstones diverged");
-                (
-                    ShardSynopsis::of(&core.dataset),
-                    Router::shard_fingerprint(&core.dataset),
-                )
+                ShardSynopsis::of(&core.dataset)
             };
-            let (synopsis, fingerprint) = recomputed;
-            self.router.replace(s, synopsis, fingerprint);
+            self.router.replace(s, synopsis);
             self.invalidate_caches();
             return true;
         }
@@ -1401,21 +1303,24 @@ impl ShardedService {
         // dead channel and vanish instead of corrupting a later wave.
         let (reply, events) = mpsc::channel::<WaveEvent>();
         // Executors are persistent threads, so they need owning handles to
-        // the wave's queries: one clone per query for the whole wave.
-        let owned: Vec<Arc<Graph>> = queries.iter().map(|&q| Arc::new(q.clone())).collect();
+        // the queries they serve: one clone per query that some shard
+        // probes. Memo hits and queries no shard admits are never cloned.
+        let owned: Vec<Option<Arc<Graph>>> = queries
+            .iter()
+            .zip(&probes_of)
+            .map(|(&q, &probes)| (probes > 0).then(|| Arc::new(q.clone())))
+            .collect();
+        let probe_item = |qi: usize| ProbeItem {
+            slot: qi,
+            query: Arc::clone(owned[qi].as_ref().expect("a probed query is owned")),
+            deadline: per_query.and_then(|p| p[qi]),
+            ticket: tickets[qi],
+        };
         for (s, list) in admitted.iter().enumerate() {
             if list.is_empty() {
                 continue;
             }
-            let items: Vec<ProbeItem> = list
-                .iter()
-                .map(|&qi| ProbeItem {
-                    slot: qi,
-                    query: Arc::clone(&owned[qi]),
-                    deadline: per_query.and_then(|p| p[qi]),
-                    ticket: tickets[qi],
-                })
-                .collect();
+            let items: Vec<ProbeItem> = list.iter().map(|&qi| probe_item(qi)).collect();
             let count = items.len();
             self.shards[s].backlog.fetch_add(count, Ordering::Relaxed);
             let job = ShardJob {
@@ -1471,12 +1376,7 @@ impl ShardedService {
                 state.flights[qi].record.retries += 1;
                 self.shards[s].backlog.fetch_add(1, Ordering::Relaxed);
                 let job = ShardJob {
-                    items: vec![ProbeItem {
-                        slot: qi,
-                        query: Arc::clone(&owned[qi]),
-                        deadline: per_query.and_then(|p| p[qi]),
-                        ticket: tickets[qi],
-                    }],
+                    items: vec![probe_item(qi)],
                     wave_deadline: deadline,
                     reply: reply.clone(),
                 };

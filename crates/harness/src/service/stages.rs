@@ -14,14 +14,13 @@ use crate::metrics::Stopwatch;
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_index::{CandidateSet, FeatureCacheStore, FilterCacheCtx, GraphIndex};
 
-/// How one query's service-side execution ended. Every query a wave or
-/// batch accepts gets exactly one outcome — there is no implicit
+/// How one query's service-side execution ended. Every query a wave
+/// accepts gets exactly one outcome — there is no implicit
 /// assume-success path — and the merge, the metrics and the CSV report all
 /// speak this vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOutcome {
-    /// Every probed shard (or the single pool) verified the query: the
-    /// answer set is exact.
+    /// Every probed shard verified the query: the answer set is exact.
     Complete,
     /// Some probed shards finished and others failed or timed out within
     /// the deadline budget. The answer set is the union of the finished
@@ -82,9 +81,9 @@ pub struct VerifyJob<'q> {
     pub filter_s: f64,
 }
 
-/// What the service records for one executed query.
+/// What a shard's pool records for one executed query.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueryRecord {
+pub(crate) struct QueryRecord {
     /// Number of graphs that survived filtering.
     pub candidate_count: usize,
     /// Graphs pruned by filtering (`universe − candidate_count`).
@@ -101,13 +100,6 @@ pub struct QueryRecord {
     pub filter_s: f64,
     /// Seconds spent in the verify stage.
     pub verify_s: f64,
-}
-
-impl QueryRecord {
-    /// Number of verified answers.
-    pub fn answer_count(&self) -> usize {
-        self.answers.len()
-    }
 }
 
 /// Filter stage: narrows the borrowed arena to the query's candidates and
@@ -209,6 +201,5 @@ mod tests {
         let outcome = index.query(&ds, &query);
         assert_eq!(record.answers, outcome.answers);
         assert_eq!(record.candidate_count, outcome.candidates.len());
-        assert_eq!(record.answer_count(), outcome.answers.len());
     }
 }

@@ -21,26 +21,7 @@
 //! full fan-out. The routing-equivalence proptest and the `micro_routing`
 //! bench's correctness gate enforce exactly that.
 
-use sqbench_features::canonical::path_key;
-use sqbench_features::paths::for_each_path;
-use sqbench_features::Fingerprint;
 use sqbench_graph::{Dataset, Graph, GraphSynopsis, ShardSynopsis};
-
-/// Width of the per-shard routing fingerprints, in bits. A shard fingerprint
-/// is the OR-fold of its member graphs' path fingerprints, so it saturates
-/// faster than a single CT-Index graph fingerprint (4096 bits in the paper);
-/// 2048 bits keeps the false-positive rate useful at a few hundred graphs
-/// per shard while costing only 256 bytes per shard.
-const ROUTE_FP_BITS: usize = 2048;
-
-/// Maximum path length (in edges) hashed into routing fingerprints. Short
-/// paths are cheap to enumerate at query time (the router pays this once per
-/// query) and already separate label-content families well; longer paths
-/// would sharpen shard refutation but make `route` itself slower.
-const ROUTE_FP_MAX_PATH_EDGES: usize = 3;
-
-/// Bloom probes per hashed path feature.
-const ROUTE_FP_HASHES: usize = 2;
 
 /// How a [`super::ShardedService`] wave chooses which shards to probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,14 +35,6 @@ pub enum RoutingMode {
     /// match. Planning costs one query-synopsis computation per query —
     /// microseconds per wave.
     Synopsis,
-    /// [`RoutingMode::Synopsis`] bounds *plus* the shard's path-feature
-    /// routing fingerprint: a shard is probed only when the bounds admit
-    /// the query *and* the shard fingerprint covers the query's. Refutes
-    /// label-compatible but structure-incompatible shards the bounds
-    /// cannot see, at the cost of enumerating the query's short paths at
-    /// plan time (~10x the bounds-only plan cost, still well under one
-    /// index probe — the `micro_hotloops` routing axis A/Bs the two).
-    SynopsisFingerprint,
 }
 
 impl RoutingMode {
@@ -70,7 +43,6 @@ impl RoutingMode {
         match self {
             RoutingMode::Fanout => "fanout",
             RoutingMode::Synopsis => "routed",
-            RoutingMode::SynopsisFingerprint => "routed-fp",
         }
     }
 }
@@ -83,48 +55,13 @@ impl RoutingMode {
 #[derive(Debug, Clone)]
 pub struct Router {
     synopses: Vec<ShardSynopsis>,
-    /// Per-shard OR-fold of the member graphs' path fingerprints. A query
-    /// can only match inside shard `s` if `fingerprints[s]` covers the
-    /// query's own path fingerprint: `q ⊆ g` implies every simple path of
-    /// `q` occurs in `g`, so `g`'s fingerprint has every bit of `q`'s, and
-    /// the shard OR-fold has every bit of `g`'s. Content refutation this
-    /// buys is orthogonal to the bound checks in [`ShardSynopsis::admits`]
-    /// — bounds refute on *counts*, fingerprints on *which* label
-    /// sequences exist.
-    fingerprints: Vec<Fingerprint>,
 }
 
 impl Router {
-    /// Path fingerprint of a single graph, at the router's configuration.
-    /// Empty graphs (e.g. tombstoned dataset slots) enumerate no paths and
-    /// produce the all-zero fingerprint, which widens nothing when folded.
-    pub fn graph_fingerprint(g: &Graph) -> Fingerprint {
-        let mut fp = Fingerprint::new(ROUTE_FP_BITS);
-        for_each_path(g, ROUTE_FP_MAX_PATH_EDGES, |labels, _| {
-            fp.insert_key(&path_key(labels), ROUTE_FP_HASHES);
-        });
-        fp
-    }
-
-    /// OR-fold of the path fingerprints of every graph in `dataset` — the
-    /// shard-level routing fingerprint.
-    pub fn shard_fingerprint(dataset: &Dataset) -> Fingerprint {
-        let mut fp = Fingerprint::new(ROUTE_FP_BITS);
-        for (_, g) in dataset.iter() {
-            fp.union_with(&Self::graph_fingerprint(g));
-        }
-        fp
-    }
-
     /// Builds the router over the shards' dataset slices, in shard order.
     pub fn build<'a>(shards: impl IntoIterator<Item = &'a Dataset>) -> Self {
-        let (synopses, fingerprints) = shards
-            .into_iter()
-            .map(|d| (ShardSynopsis::of(d), Self::shard_fingerprint(d)))
-            .unzip();
         Router {
-            synopses,
-            fingerprints,
+            synopses: shards.into_iter().map(ShardSynopsis::of).collect(),
         }
     }
 
@@ -138,44 +75,27 @@ impl Router {
         &self.synopses[shard]
     }
 
-    /// The routing fingerprint of one shard (for tests and diagnostics).
-    pub fn fingerprint(&self, shard: usize) -> &Fingerprint {
-        &self.fingerprints[shard]
-    }
-
-    /// Widens one shard's synopsis and fingerprint in place with a newly
-    /// inserted graph. Widening preserves the no-false-negative contract
-    /// trivially: every bound only grows and the fingerprint only gains
-    /// bits, so previously admitted queries stay admitted and the new
-    /// graph's own subgraphs are now dominated too.
-    pub fn absorb(&mut self, shard: usize, graph: &Graph, synopsis: &GraphSynopsis) {
+    /// Widens one shard's synopsis in place with a newly inserted graph's.
+    /// Widening preserves the no-false-negative contract trivially: every
+    /// bound only grows, so previously admitted queries stay admitted and
+    /// the new graph's own subgraphs are now dominated too.
+    pub fn absorb(&mut self, shard: usize, synopsis: &GraphSynopsis) {
         self.synopses[shard].absorb(synopsis);
-        self.fingerprints[shard].union_with(&Self::graph_fingerprint(graph));
     }
 
-    /// Replaces one shard's synopsis and fingerprint wholesale — the
-    /// removal path, which recomputes from the shard's live contents. The
-    /// caller must supply values that still dominate every *live* graph
-    /// (recomputing via [`ShardSynopsis::of`] / [`Router::shard_fingerprint`]
-    /// over the mutated dataset does, because dead slots hold empty
-    /// placeholder graphs that widen nothing).
-    pub fn replace(&mut self, shard: usize, synopsis: ShardSynopsis, fingerprint: Fingerprint) {
+    /// Replaces one shard's synopsis wholesale — the removal path, which
+    /// recomputes from the shard's live contents. The caller must supply a
+    /// synopsis that still dominates every *live* graph (recomputing via
+    /// [`ShardSynopsis::of`] over the mutated dataset does, because dead
+    /// slots hold empty placeholder graphs that widen nothing).
+    pub fn replace(&mut self, shard: usize, synopsis: ShardSynopsis) {
         self.synopses[shard] = synopsis;
-        self.fingerprints[shard] = fingerprint;
     }
 
-    /// Estimated heap bytes of all shard synopses and routing fingerprints
-    /// — the memory the routing tier adds on top of the per-shard indexes.
+    /// Estimated heap bytes of all shard synopses — the memory the routing
+    /// tier adds on top of the per-shard indexes.
     pub fn memory_bytes(&self) -> usize {
-        self.synopses
-            .iter()
-            .map(ShardSynopsis::memory_bytes)
-            .sum::<usize>()
-            + self
-                .fingerprints
-                .iter()
-                .map(Fingerprint::memory_bytes)
-                .sum::<usize>()
+        self.synopses.iter().map(ShardSynopsis::memory_bytes).sum()
     }
 
     /// Routes one query through the bound checks: `mask[s]` is `true` iff
@@ -185,29 +105,11 @@ impl Router {
         self.synopses.iter().map(|s| s.admits(&q)).collect()
     }
 
-    /// Routes one query through bounds *and* fingerprint
-    /// ([`RoutingMode::SynopsisFingerprint`]): a shard is probed only when
-    /// its bound synopsis admits the query and its routing fingerprint
-    /// covers the query's — both checks are sound necessary conditions, so
-    /// their conjunction is too, and every shard [`Router::route`] skips is
-    /// skipped here as well (the conjunction only prunes more).
-    pub fn route_fingerprint(&self, query: &Graph) -> Vec<bool> {
-        let q = GraphSynopsis::of(query);
-        let q_fp = Self::graph_fingerprint(query);
-        self.synopses
-            .iter()
-            .zip(self.fingerprints.iter())
-            .map(|(s, fp)| s.admits(&q) && fp.covers(&q_fp))
-            .collect()
-    }
-
     /// Plans a whole wave under `mode`: for each shard, the (ascending)
     /// wave indices of the queries it must serve. Under
     /// [`RoutingMode::Fanout`] every shard serves every query; under
     /// [`RoutingMode::Synopsis`] each query's synopsis is computed once and
-    /// bound-tested against every shard; [`RoutingMode::SynopsisFingerprint`]
-    /// additionally computes each query's path fingerprint once and demands
-    /// shard-fingerprint coverage.
+    /// bound-tested against every shard.
     pub fn plan(&self, queries: &[&Graph], mode: RoutingMode) -> Vec<Vec<usize>> {
         match mode {
             RoutingMode::Fanout => self
@@ -223,23 +125,6 @@ impl Router {
                     .map(|shard| {
                         (0..queries.len())
                             .filter(|&qi| shard.admits(&query_synopses[qi]))
-                            .collect()
-                    })
-                    .collect()
-            }
-            RoutingMode::SynopsisFingerprint => {
-                let query_synopses: Vec<GraphSynopsis> =
-                    queries.iter().map(|q| GraphSynopsis::of(q)).collect();
-                let query_fps: Vec<Fingerprint> =
-                    queries.iter().map(|q| Self::graph_fingerprint(q)).collect();
-                self.synopses
-                    .iter()
-                    .zip(self.fingerprints.iter())
-                    .map(|(shard, shard_fp)| {
-                        (0..queries.len())
-                            .filter(|&qi| {
-                                shard.admits(&query_synopses[qi]) && shard_fp.covers(&query_fps[qi])
-                            })
                             .collect()
                     })
                     .collect()
@@ -306,53 +191,11 @@ mod tests {
     fn empty_wave_plans_are_empty_for_every_shard() {
         let shards = [shard_of(0, &[3]), Dataset::new("empty")];
         let router = Router::build(shards.iter());
-        for mode in [
-            RoutingMode::Fanout,
-            RoutingMode::Synopsis,
-            RoutingMode::SynopsisFingerprint,
-        ] {
+        for mode in [RoutingMode::Fanout, RoutingMode::Synopsis] {
             assert_eq!(router.plan(&[], mode), vec![Vec::<usize>::new(); 2]);
         }
         assert_eq!(RoutingMode::Fanout.name(), "fanout");
         assert_eq!(RoutingMode::Synopsis.name(), "routed");
-        assert_eq!(RoutingMode::SynopsisFingerprint.name(), "routed-fp");
         assert_eq!(RoutingMode::default(), RoutingMode::Fanout);
-    }
-
-    #[test]
-    fn fingerprint_refutes_label_compatible_decoy_shards() {
-        // The decoy shard carries the chain's label inventory and (7,7)
-        // edge pairs as disconnected single edges, plus an out-of-palette
-        // hub that satisfies the degree histogram — so every count bound
-        // admits the chain query, but no 7-7-7 path exists and the path
-        // fingerprint refutes it.
-        let chain = mono_path(7, 4);
-        let decoy = GraphBuilder::new("decoy")
-            .vertices(&[7, 7, 7, 7, 7, 7, 9])
-            .edges(&[(0, 1), (2, 3), (4, 5), (6, 0), (6, 2), (6, 4)])
-            .build()
-            .unwrap();
-        let shards = [
-            Dataset::from_graphs("real", vec![chain.clone()]),
-            Dataset::from_graphs("decoy", vec![decoy]),
-        ];
-        let router = Router::build(shards.iter());
-        let query = mono_path(7, 3);
-        // Bounds alone admit both shards; the fingerprint drops the decoy.
-        assert_eq!(router.route(&query), vec![true, true]);
-        assert_eq!(router.route_fingerprint(&query), vec![true, false]);
-        let queries = [&query];
-        assert_eq!(
-            router.plan(&queries, RoutingMode::Synopsis),
-            vec![vec![0], vec![0]]
-        );
-        assert_eq!(
-            router.plan(&queries, RoutingMode::SynopsisFingerprint),
-            vec![vec![0], vec![]]
-        );
-        // The real shard's fingerprint covers the query's (soundness).
-        assert!(router
-            .fingerprint(0)
-            .covers(&Router::graph_fingerprint(&query)));
     }
 }

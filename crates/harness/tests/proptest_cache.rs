@@ -4,8 +4,8 @@
 //! canonical answer memo is that they are *pure* accelerators: for every
 //! method (the six indexed ones plus the scan baseline), a service built
 //! with [`CachePolicy::enabled`] must return bit-identical answer sets to
-//! the cache-disabled service — on the unsharded batch path and across a
-//! 4-shard wave — including on *repeated* batches, where the second pass
+//! the cache-disabled service — on one shard and across a 4-shard wave —
+//! including on *repeated* batches, where the second pass
 //! is served substantially from cache (feature hits in the filter stage,
 //! whole-answer hits at admission).
 //!
@@ -18,8 +18,8 @@
 use proptest::prelude::*;
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph, GraphId};
-use sqbench_harness::service::{CachePolicy, QueryService, ServiceOptions, ShardedService};
-use sqbench_index::{build_index, MethodConfig, MethodKind};
+use sqbench_harness::service::{CachePolicy, ServiceOptions, ShardedReport, ShardedService};
+use sqbench_index::{MethodConfig, MethodKind};
 
 const ALL_METHODS: [MethodKind; 7] = [
     MethodKind::Grapes,
@@ -57,18 +57,16 @@ fn repeated_queries(ds: &Dataset, seed: u64) -> Vec<Graph> {
     queries
 }
 
-fn answers_of(records: &[Option<sqbench_harness::service::QueryRecord>]) -> Vec<Vec<GraphId>> {
-    records
-        .iter()
-        .map(|r| r.as_ref().expect("query completed").answers.clone())
-        .collect()
+fn answers_of(report: &ShardedReport) -> Vec<Vec<GraphId>> {
+    report.records.iter().map(|r| r.answers.clone()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Unsharded: cached answers equal uncached answers for every method,
-    /// on a first batch and on an identical repeat batch (served warm).
+    /// Unsharded (one shard): cached answers equal uncached answers for
+    /// every method, on a first wave and on an identical repeat wave
+    /// (served warm).
     #[test]
     fn cached_batches_match_uncached_for_all_methods(
         seed in 0u64..300,
@@ -80,20 +78,25 @@ proptest! {
         let refs: Vec<&Graph> = queries.iter().collect();
 
         for kind in ALL_METHODS {
-            let cold_index = build_index(kind, &config, &ds);
-            let warm_index = build_index(kind, &config, &ds);
-            let mut cold = QueryService::new(&*cold_index, &ds, ServiceOptions::new());
-            let mut warm = QueryService::new(
-                &*warm_index,
+            let mut cold = ShardedService::new(
+                kind,
+                &config,
                 &ds,
-                ServiceOptions::new().cache(CachePolicy::enabled()),
+                ServiceOptions::new().shards(1),
+            );
+            let mut warm = ShardedService::new(
+                kind,
+                &config,
+                &ds,
+                ServiceOptions::new().shards(1).cache(CachePolicy::enabled()),
             );
             for pass in 0..2 {
-                let cold_report = cold.run_batch(&refs, None);
-                let warm_report = warm.run_batch(&refs, None);
+                let cold_report = cold.run_wave(&refs, None);
+                let warm_report = warm.run_wave(&refs, None);
+                prop_assert_eq!(cold_report.complete(), refs.len());
                 prop_assert_eq!(
-                    answers_of(&cold_report.records),
-                    answers_of(&warm_report.records),
+                    answers_of(&cold_report),
+                    answers_of(&warm_report),
                     "{} diverged under caching (unsharded, pass {})",
                     kind.name(),
                     pass

@@ -186,17 +186,10 @@ proptest! {
                         kind,
                         &config,
                         &ds,
-                        base.clone().routing(RoutingMode::Synopsis),
-                    );
-                    let mut routed_fp = ShardedService::new(
-                        kind,
-                        &config,
-                        &ds,
-                        base.routing(RoutingMode::SynopsisFingerprint),
+                        base.routing(RoutingMode::Synopsis),
                     );
                     let fanout_report = fanout.run_wave(&refs, None);
                     let routed_report = routed.run_wave(&refs, None);
-                    let fp_report = routed_fp.run_wave(&refs, None);
                     prop_assert_eq!(routed_report.executed(), queries.len());
                     prop_assert_eq!(routed_report.expired(), 0);
                     for (qi, (f, r)) in fanout_report
@@ -218,20 +211,6 @@ proptest! {
                             &f.answers,
                             "{} routed≠fanout on query {}",
                             kind.name(), qi
-                        );
-                        // The fingerprint tier may only prune *more*
-                        // shards, never answers: fp-routed ≡ fanout too.
-                        let fp_rec = &fp_report.records[qi];
-                        prop_assert_eq!(
-                            &fp_rec.answers,
-                            &f.answers,
-                            "{} fp-routed≠fanout on query {}",
-                            kind.name(), qi
-                        );
-                        prop_assert!(
-                            fp_rec.shards_probed <= r.shards_probed,
-                            "{}: fingerprint admitted a shard bounds refuted",
-                            kind.name()
                         );
                         // Probe accounting always partitions the shards...
                         prop_assert_eq!(f.shards_probed, shards);
@@ -273,12 +252,7 @@ proptest! {
     /// family count (here 3 shards over 4 families — round-robin smears
     /// every family across every shard), label-aware placement must let
     /// synopsis routing probe strictly fewer shards than round-robin,
-    /// while staying bit-identical to the unsharded oracle. Pinned to
-    /// [`RoutingMode::Synopsis`] (bounds only) deliberately: fingerprint
-    /// refutation can rescue even a smeared round-robin placement (content
-    /// bits refute shards that bounds admit), which is a feature of
-    /// [`RoutingMode::SynopsisFingerprint`] — this test isolates what
-    /// *placement* buys the bound checks.
+    /// while staying bit-identical to the unsharded oracle.
     #[test]
     fn label_aware_placement_beats_round_robin_on_interleaved_ingest(
         seed in 0u64..200,

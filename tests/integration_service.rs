@@ -1,10 +1,11 @@
-//! Service-level integration tests: the pipelined batch query service must
-//! agree with the serial runner on every method, and the runner's
-//! service-backed batching must not change any reported correctness metric.
+//! Service-level integration tests: a one-shard service's pipelined worker
+//! pool must agree with the serial runner on every method, and the
+//! runner's service-backed batching must not change any reported
+//! correctness metric.
 
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph};
-use sqbench_harness::service::{QueryService, ServiceOptions};
+use sqbench_harness::service::{ServiceOptions, ShardedService};
 use sqbench_harness::{run_methods, RunOptions};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
@@ -23,8 +24,8 @@ fn setup(graphs: usize, queries: usize) -> (Dataset, Vec<Graph>) {
     (ds, qs)
 }
 
-/// A 4-worker batch run returns the same per-query match counts as the
-/// serial runner (one worker, workload order), for every method including
+/// A 4-worker one-shard wave returns the same per-query match counts as
+/// the serial runner (one worker, workload order), for every method including
 /// the scan baseline. Answer sets are exact regardless of scheduling, so
 /// this holds even for Tree+Δ, whose *candidate* trajectory is
 /// order-dependent.
@@ -43,25 +44,24 @@ fn four_worker_batch_matches_serial_match_counts() {
         MethodKind::Scan,
     ];
     for kind in all_kinds {
-        // Fresh indexes for each mode so Tree+Δ starts from the same state.
-        let serial_index = build_index(kind, &config, &ds);
-        let mut serial = QueryService::new(&*serial_index, &ds, ServiceOptions::new().workers(1));
-        let serial_report = serial.run_batch(&refs, None);
+        // Fresh services (and indexes) for each mode so Tree+Δ starts from
+        // the same state.
+        let one_shard = |workers| ServiceOptions::new().shards(1).workers(workers);
+        let mut serial = ShardedService::new(kind, &config, &ds, one_shard(1));
+        let serial_report = serial.run_wave(&refs, None);
 
-        let pooled_index = build_index(kind, &config, &ds);
-        let mut pooled = QueryService::new(&*pooled_index, &ds, ServiceOptions::new().workers(4));
-        let pooled_report = pooled.run_batch(&refs, None);
+        let mut pooled = ShardedService::new(kind, &config, &ds, one_shard(4));
+        let pooled_report = pooled.run_wave(&refs, None);
 
-        assert_eq!(pooled_report.workers, 4, "{}: worker clamp", kind.name());
-        assert_eq!(serial_report.executed(), refs.len());
-        assert_eq!(pooled_report.executed(), refs.len());
+        assert_eq!(pooled.worker_high_water(), vec![4], "{}", kind.name());
+        assert_eq!(serial_report.complete(), refs.len());
+        assert_eq!(pooled_report.complete(), refs.len());
         for (i, (s, p)) in serial_report
             .records
             .iter()
             .zip(pooled_report.records.iter())
             .enumerate()
         {
-            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
             assert_eq!(
                 s.answer_count(),
                 p.answer_count(),
@@ -78,22 +78,27 @@ fn four_worker_batch_matches_serial_match_counts() {
     }
 }
 
-/// The serial service agrees with one-shot `index.query` calls — the
-/// pre-service ground truth — per query, candidates included.
+/// The serial one-shard service agrees with one-shot `index.query` calls —
+/// the pre-service ground truth — per query, candidates included. This is
+/// the determinism guard: with one worker the shard serves the wave in
+/// order, so even Tree+Δ's order-dependent learning replays exactly.
 #[test]
 fn serial_service_equals_one_shot_queries() {
     let (ds, queries) = setup(18, 8);
     let refs: Vec<&Graph> = queries.iter().collect();
     let config = MethodConfig::fast();
     for kind in MethodKind::ALL {
-        let index = build_index(kind, &config, &ds);
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(1));
-        let report = service.run_batch(&refs, None);
+        let mut service = ShardedService::new(
+            kind,
+            &config,
+            &ds,
+            ServiceOptions::new().shards(1).workers(1),
+        );
+        let report = service.run_wave(&refs, None);
         // One-shot ground truth on a fresh index (Tree+Δ mutates while
         // querying, so the comparison index must replay the same order).
         let oracle = build_index(kind, &config, &ds);
         for (record, query) in report.records.iter().zip(queries.iter()) {
-            let record = record.as_ref().unwrap();
             let outcome = oracle.query(&ds, query);
             assert_eq!(record.answers, outcome.answers, "{}", kind.name());
             assert_eq!(
@@ -127,7 +132,7 @@ fn runner_batching_preserves_workload_metrics() {
         &workloads,
         &RunOptions::fast()
             .with_methods(&kinds)
-            .with_query_threads(4),
+            .with_service(ServiceOptions::new().workers(4)),
     );
     for (s, p) in serial.iter().zip(pooled.iter()) {
         assert_eq!(s.method, p.method);
