@@ -167,10 +167,13 @@ impl RunOptions {
 ///
 /// Indexing time covers everything the service builds before it can
 /// answer: the partition, the routing synopses and every shard's index.
-/// The time budget is enforced at two points: after that build (a method
-/// whose build alone exceeds the budget is marked `timed_out` and
-/// processes no queries — the analogue of the paper's DNF entries) and
-/// before each query starts on a shard, where the wave deadline applies.
+/// The time budget is enforced at three points: after that build (a
+/// method whose build alone exceeds the budget is marked `timed_out` and
+/// processes no queries — the analogue of the paper's DNF entries), before
+/// each query starts on a shard, where the wave deadline applies, and at
+/// the merge: a query still executing when the deadline passes is counted
+/// `TimedOut`, and the filter and verify work the shard spends finishing
+/// it is left out of `stages` and `avg_query_time_s`.
 /// With one worker per shard a shard serves its queries in workload order,
 /// so the skipped queries are exactly the workload suffix and
 /// `queries_executed` records how far the method got; with a multi-worker

@@ -112,11 +112,11 @@ use std::time::Instant;
 /// `arenas.len()` strong, clamped to the batch size; one worker runs in
 /// place, in batch order.
 ///
-/// Returns one `(outcome, record)` pair per query, indexed like `queries`.
-/// At this layer the outcome is `Complete` (record present), `TimedOut`
-/// (skipped on deadline) or `Failed` (the query's execution panicked, or
-/// its worker died before reporting); the sharded merge refines these
-/// across shards.
+/// Returns the number of workers the batch ran with and one
+/// `(outcome, record)` pair per query, indexed like `queries`. At this
+/// layer the outcome is `Complete` (record present), `TimedOut` (skipped
+/// on deadline) or `Failed` (the query's execution panicked, or its worker
+/// died before reporting); the sharded merge refines these across shards.
 #[allow(clippy::too_many_arguments)] // internal fan-in point: every shard caller threads the same set
 pub(crate) fn run_batch_on(
     index: &dyn GraphIndex,
@@ -127,7 +127,7 @@ pub(crate) fn run_batch_on(
     per_query: Option<&[Option<Instant>]>,
     faults: Option<WaveFaults<'_>>,
     cache: Option<&dyn FeatureCacheStore>,
-) -> Vec<(QueryOutcome, Option<QueryRecord>)> {
+) -> BatchRun {
     let workers = arenas.len().min(queries.len()).max(1);
     let shared = BatchShared::with_deadlines(queries, workers, deadline, per_query, faults, cache);
     let completed: Vec<Vec<(usize, QueryOutcome, Option<QueryRecord>)>> = if workers == 1 {
@@ -159,7 +159,16 @@ pub(crate) fn run_batch_on(
     for (idx, outcome, record) in completed.into_iter().flatten() {
         results[idx] = (outcome, record);
     }
-    results
+    BatchRun { workers, results }
+}
+
+/// What one [`run_batch_on`] call did.
+pub(crate) struct BatchRun {
+    /// Workers the batch actually ran with: the arena count clamped to the
+    /// batch size (one for an empty batch, which runs in place).
+    pub workers: usize,
+    /// One `(outcome, record)` pair per query, indexed like the batch.
+    pub results: Vec<(QueryOutcome, Option<QueryRecord>)>,
 }
 
 #[cfg(test)]
@@ -194,7 +203,7 @@ mod tests {
         ds: &Dataset,
         arenas: &mut [WorkerArena],
         queries: &[&Graph],
-    ) -> Vec<(QueryOutcome, Option<QueryRecord>)> {
+    ) -> BatchRun {
         run_batch_on(index, ds, arenas, queries, None, None, None, None)
     }
 
@@ -230,6 +239,7 @@ mod tests {
             let serial_report = serial.run_wave(&refs, None);
             let mut pooled = one_shard(kind, &ds, ServiceOptions::new().workers(4));
             let pooled_report = pooled.run_wave(&refs, None);
+            assert_eq!(serial.worker_high_water(), vec![1]);
             assert_eq!(pooled.worker_high_water(), vec![4]);
             for (i, (s, p)) in serial_report
                 .records
@@ -253,8 +263,8 @@ mod tests {
         let index = build_index(MethodKind::GIndex, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
         let mut pool = arenas(2);
-        let first = plain_batch(&*index, &ds, &mut pool, &refs);
-        let second = plain_batch(&*index, &ds, &mut pool, &refs);
+        let first = plain_batch(&*index, &ds, &mut pool, &refs).results;
+        let second = plain_batch(&*index, &ds, &mut pool, &refs).results;
         for ((oa, a), (ob, b)) in first.iter().zip(second.iter()) {
             assert_eq!((*oa, *ob), (QueryOutcome::Complete, QueryOutcome::Complete));
             assert_eq!(a.as_ref().unwrap().answers, b.as_ref().unwrap().answers);
@@ -281,7 +291,8 @@ mod tests {
             None,
             None,
             None,
-        );
+        )
+        .results;
         assert_eq!(results.len(), refs.len());
         for (outcome, record) in &results {
             assert_eq!(*outcome, QueryOutcome::TimedOut);
@@ -293,7 +304,9 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let (ds, _) = setup(6);
         let index = build_index(MethodKind::GCode, &MethodConfig::fast(), &ds);
-        assert!(plain_batch(&*index, &ds, &mut arenas(3), &[]).is_empty());
+        assert!(plain_batch(&*index, &ds, &mut arenas(3), &[])
+            .results
+            .is_empty());
     }
 
     #[test]
@@ -314,7 +327,8 @@ mod tests {
             Some(&per_query),
             None,
             None,
-        );
+        )
+        .results;
         for (i, (outcome, record)) in results.iter().enumerate() {
             if i == 1 || i == 4 {
                 assert_eq!(*outcome, QueryOutcome::TimedOut, "expired query {i}");
@@ -340,7 +354,7 @@ mod tests {
         let tickets: Vec<Ticket> = (0..refs.len() as u64).collect();
         for workers in [1usize, 4] {
             let plan = FaultPlan::new().panic_in_verify(2, 1).panic_in_verify(5, 1);
-            let results = run_batch_on(
+            let run = run_batch_on(
                 &*index,
                 &ds,
                 &mut arenas(workers),
@@ -353,8 +367,9 @@ mod tests {
                 }),
                 None,
             );
+            assert_eq!(run.workers, workers);
             assert_eq!(plan.injected_panics(), 2, "{workers} workers");
-            for (i, (outcome, record)) in results.iter().enumerate() {
+            for (i, (outcome, record)) in run.results.iter().enumerate() {
                 if i == 2 || i == 5 {
                     assert_eq!(*outcome, QueryOutcome::Failed);
                     assert!(record.is_none());
@@ -374,8 +389,10 @@ mod tests {
         let (ds, queries) = setup(10);
         let index = build_index(MethodKind::Grapes, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let results = plain_batch(&*index, &ds, &mut arenas(3), &refs);
-        assert!(results
+        let run = plain_batch(&*index, &ds, &mut arenas(3), &refs);
+        assert_eq!(run.workers, 3);
+        assert!(run
+            .results
             .iter()
             .all(|(o, r)| *o == QueryOutcome::Complete && r.is_some()));
     }
@@ -487,13 +504,11 @@ mod tests {
         let index = build_index(MethodKind::CtIndex, &MethodConfig::fast(), &ds);
         let two: Vec<&Graph> = queries.iter().take(2).collect();
         let mut pool = arenas(16);
-        let results = plain_batch(&*index, &ds, &mut pool, &two);
-        assert!(results.iter().all(|(o, _)| *o == QueryOutcome::Complete));
-        // The batch must not spawn idle workers: arenas past the batch
-        // size were never touched, so they hold no recycled set.
-        assert!(
-            pool[2..].iter_mut().all(|a| a.take_set().universe() == 0),
-            "batch must not spawn idle workers"
-        );
+        let run = plain_batch(&*index, &ds, &mut pool, &two);
+        assert!(run
+            .results
+            .iter()
+            .all(|(o, _)| *o == QueryOutcome::Complete));
+        assert_eq!(run.workers, 2, "batch must not spawn idle workers");
     }
 }

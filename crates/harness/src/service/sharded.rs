@@ -386,7 +386,8 @@ struct Shard {
     /// Probe items queued at (or executing on) this shard — the observed
     /// queue depth that drives dynamic worker scaling.
     backlog: Arc<AtomicUsize>,
-    /// Largest worker pool the executor ever scaled to (diagnostics).
+    /// Most workers any probe batch on this shard actually ran with
+    /// (diagnostics).
     worker_high_water: Arc<AtomicUsize>,
     thread: Option<JoinHandle<()>>,
 }
@@ -464,13 +465,12 @@ fn spawn_shard_executor(setup: ExecutorSetup) -> JoinHandle<()> {
                 } else if core.arenas.len() > target {
                     core.arenas.truncate(target);
                 }
-                high_water.fetch_max(target, Ordering::Relaxed);
                 let queries: Vec<&Graph> = job.items.iter().map(|it| it.query.as_ref()).collect();
                 let per_query: Vec<Option<Instant>> =
                     job.items.iter().map(|it| it.deadline).collect();
                 let tickets: Vec<Ticket> = job.items.iter().map(|it| it.ticket).collect();
                 let store = core.features.as_ref().map(|f| f as &dyn FeatureCacheStore);
-                let mut results = run_batch_on(
+                let run = run_batch_on(
                     &*core.index,
                     &core.dataset,
                     &mut core.arenas,
@@ -483,6 +483,8 @@ fn spawn_shard_executor(setup: ExecutorSetup) -> JoinHandle<()> {
                     }),
                     store,
                 );
+                high_water.fetch_max(run.workers, Ordering::Relaxed);
+                let mut results = run.results;
                 for record in results.iter_mut().filter_map(|(_, r)| r.as_mut()) {
                     for answer in &mut record.answers {
                         *answer = core.to_global[*answer];
@@ -768,7 +770,7 @@ impl ShardedService {
                 }));
                 let (jobs, job_rx) = mpsc::channel();
                 let backlog = Arc::new(AtomicUsize::new(0));
-                let worker_high_water = Arc::new(AtomicUsize::new(workers));
+                let worker_high_water = Arc::new(AtomicUsize::new(0));
                 let thread = spawn_shard_executor(ExecutorSetup {
                     shard: s,
                     core: Arc::clone(&core),
@@ -836,10 +838,11 @@ impl ShardedService {
         self.shards.iter().map(|s| s.lock().dataset.len()).collect()
     }
 
-    /// Largest worker pool each shard's executor ever scaled to, indexed
-    /// by shard — the dynamic-scaling high-water mark. Equals the
-    /// configured floor everywhere while scaling is disabled
-    /// (`workers_max <= workers`).
+    /// Most workers any probe batch ran with, indexed by shard — the
+    /// dynamic-scaling high-water mark. A batch runs its shard's pool
+    /// (the configured floor, or more while scaling is enabled through
+    /// `workers_max`) clamped to the batch size; a shard that has served
+    /// no batch reads 0.
     pub fn worker_high_water(&self) -> Vec<usize> {
         self.shards
             .iter()
@@ -2333,6 +2336,7 @@ mod tests {
             &ds,
             ServiceOptions::new().shards(2).workers(2),
         );
+        assert_eq!(fixed.worker_high_water(), vec![0, 0]);
         let report = fixed.run_wave(&refs, None);
         assert_eq!(report.complete(), queries.len());
         assert_eq!(fixed.worker_high_water(), vec![2, 2]);
