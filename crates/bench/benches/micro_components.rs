@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the substrates every method is built from: path /
 //! tree / cycle enumeration, canonical labels, fingerprints, and the VF2
-//! and tuned subgraph-isomorphism matchers.
+//! subgraph-isomorphism matcher.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqbench_bench::default_dataset;
@@ -62,9 +62,6 @@ fn bench_components(c: &mut Criterion) {
     iso.measurement_time(std::time::Duration::from_secs(2));
     iso.bench_function("vf2_first_match", |b| {
         b.iter(|| sqbench_iso::has_subgraph_embedding(&query, &target))
-    });
-    iso.bench_function("tuned_first_match", |b| {
-        b.iter(|| sqbench_iso::TunedMatcher::matches(&query, &target))
     });
     iso.finish();
 }

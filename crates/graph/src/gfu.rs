@@ -65,26 +65,39 @@ pub fn read_dataset_file(name: &str, path: impl AsRef<Path>) -> Result<Dataset> 
 /// Internal line cursor that tracks line numbers for error reporting and
 /// skips blank / comment lines.
 struct Cursor<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// Input not consumed yet.
+    rest: &'a str,
+    /// 1-based number of the last line consumed.
+    line: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(text: &'a str) -> Self {
         Cursor {
-            lines: text.lines().enumerate(),
+            rest: text,
+            line: 0,
         }
     }
 
     /// Next meaningful line, as `(1-based line number, trimmed text)`.
     fn next(&mut self) -> Option<(usize, &'a str)> {
-        for (idx, raw) in self.lines.by_ref() {
+        while !self.rest.is_empty() {
+            let (raw, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+            self.rest = rest;
+            self.line += 1;
             let line = raw.trim();
             if line.is_empty() || line.starts_with("//") {
                 continue;
             }
-            return Some((idx + 1, line));
+            return Some((self.line, line));
         }
         None
+    }
+
+    /// Upper bound on the meaningful lines left: each holds at least one
+    /// non-blank byte, and all but the last end in a newline.
+    fn max_remaining(&self) -> usize {
+        self.rest.len().div_ceil(2)
     }
 }
 
@@ -109,7 +122,9 @@ pub fn parse_dataset(name: &str, text: &str) -> Result<Dataset> {
             message: "unexpected end of input: missing vertex count".into(),
         })?;
         let vcount = parse_count(ln, vcount_text, "vertex")?;
-        let mut g = Graph::with_capacity(graph_name, vcount);
+        // A hostile count must reach the truncation error below, not a
+        // capacity overflow: preallocate only what the input can supply.
+        let mut g = Graph::with_capacity(graph_name, vcount.min(cursor.max_remaining()));
         for _ in 0..vcount {
             let (ln, label_text) = cursor.next().ok_or(GraphError::Parse {
                 line: line_no,
@@ -223,6 +238,20 @@ mod tests {
         let text = "#g\n3\n0\n1\n";
         let err = parse_dataset("x", text).unwrap_err();
         assert!(matches!(err, GraphError::Parse { .. }));
+    }
+
+    #[test]
+    fn rejects_a_vertex_count_the_input_cannot_supply() {
+        // 2^62 vertices: preallocating them overflows `Vec` capacity.
+        let err = parse_dataset("x", "#g\n4611686018427387904\n0\n").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { .. }));
+        assert!(err.to_string().contains("missing vertex label"));
+    }
+
+    #[test]
+    fn reports_one_based_line_numbers_past_skipped_lines() {
+        let err = parse_dataset("x", "// c\r\n\r\n#g\r\nnope\r\n").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 4, .. }));
     }
 
     #[test]

@@ -164,32 +164,6 @@ impl Graph {
         self.adjacency[v].len()
     }
 
-    /// Hints the CPU to pull this graph's hot buffers (label array, adjacency
-    /// spine, and the first adjacency row) into cache ahead of use.
-    ///
-    /// The block verifier calls this for the *next* block of candidate graphs
-    /// while VF2 still runs on the current one, so the pointer-chasing start
-    /// of each match does not stall on a cold cache line. On non-x86_64
-    /// targets this compiles to nothing; it is a pure hint either way and has
-    /// no observable effect on results.
-    #[inline]
-    pub fn prefetch_hint(&self) {
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            if !self.labels.is_empty() {
-                _mm_prefetch(self.labels.as_ptr() as *const i8, _MM_HINT_T0);
-            }
-            if !self.adjacency.is_empty() {
-                _mm_prefetch(self.adjacency.as_ptr() as *const i8, _MM_HINT_T0);
-                let first = &self.adjacency[0];
-                if !first.is_empty() {
-                    _mm_prefetch(first.as_ptr() as *const i8, _MM_HINT_T0);
-                }
-            }
-        }
-    }
-
     /// `true` iff an edge between `u` and `v` exists. Out-of-range ids simply
     /// yield `false`.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {

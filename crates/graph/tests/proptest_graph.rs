@@ -28,6 +28,50 @@ fn arb_graph(max_n: usize, max_labels: u32) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A number on a count, label or edge line: half the time small (so the
+/// lines that follow a count can satisfy it), otherwise an arbitrary `u64`
+/// (out-of-range labels and endpoints, counts beyond any input).
+fn arb_number() -> impl Strategy<Value = u64> {
+    (any::<bool>(), 0u64..6, any::<u64>()).prop_map(|(small, n, big)| if small { n } else { big })
+}
+
+/// Near-valid `.gfu` text: one or two `#` headers, each followed by a
+/// vertex count, arbitrary label lines, an edge count and arbitrary edge
+/// lines, so missing and extra lines occur as well as bad numbers.
+fn arb_near_gfu() -> impl Strategy<Value = String> {
+    let graph = (
+        arb_number(),
+        proptest::collection::vec(arb_number(), 0..6),
+        arb_number(),
+        proptest::collection::vec((arb_number(), arb_number()), 0..6),
+    )
+        .prop_map(|(vcount, labels, ecount, edges)| {
+            let mut text = format!("#g\n{vcount}\n");
+            for label in labels {
+                text.push_str(&format!("{label}\n"));
+            }
+            text.push_str(&format!("{ecount}\n"));
+            for (u, v) in edges {
+                text.push_str(&format!("{u} {v}\n"));
+            }
+            text
+        });
+    proptest::collection::vec(graph, 1..3).prop_map(|graphs| graphs.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile or truncated `.gfu` text yields `Ok` or a typed error, never
+    /// a panic or an allocation sized by an unchecked count.
+    #[test]
+    fn near_valid_gfu_never_panics(text in arb_near_gfu()) {
+        if let Ok(ds) = gfu::parse_dataset("hostile", &text) {
+            prop_assert!(ds.len() <= 2);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

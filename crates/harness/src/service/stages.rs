@@ -6,9 +6,9 @@
 //! The arena then travels *inside* the [`VerifyJob`] to the verify stage
 //! (usually popped right back by the same worker, sometimes stolen by an
 //! idle one), which runs [`GraphIndex::verify_set`] straight off the bits —
-//! preserving each method's specialized verification (CT-Index's tuned
-//! matcher, Grapes' location-restricted matching, Tree+Δ's Δ learning) —
-//! and hands the set back for recycling.
+//! preserving each method's specialized verification (Grapes'
+//! location-restricted matching, Tree+Δ's Δ learning) — and hands the set
+//! back for recycling.
 
 use crate::metrics::Stopwatch;
 use sqbench_graph::{Dataset, Graph, GraphId};

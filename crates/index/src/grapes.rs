@@ -193,17 +193,19 @@ impl GrapesIndex {
 
     /// Verifies the query against one candidate graph, restricted to the
     /// connected components induced by the candidate's location vertices.
-    /// `state` is the calling worker's reusable VF2 scratch.
+    /// `state` is the calling worker's reusable VF2 scratch, and
+    /// `query_connected` is `algo::is_connected(query)`, computed once per
+    /// query by the caller.
     fn verify_candidate(
-        query: &Graph,
         matcher: &Vf2Matcher<'_>,
         state: &mut MatchState,
+        query_connected: bool,
         graph: &Graph,
         locations: Option<&BTreeSet<VertexId>>,
     ) -> bool {
         // Component-restricted verification is only sound for connected
         // queries (an embedding of a connected query lies in one component).
-        if !algo::is_connected(query) {
+        if !query_connected {
             return matcher.matches_with(state, graph);
         }
         match locations {
@@ -291,6 +293,7 @@ impl GraphIndex for GrapesIndex {
         let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
         let locations = self.locations_for(&query_counts, candidates);
         let matcher = Vf2Matcher::new(query);
+        let connected = algo::is_connected(query);
         // Per-query thread fan-out only pays for itself on large candidate
         // sets; below the threshold (the common case once filtering has
         // done its job) verification stays in place and allocation-free,
@@ -303,7 +306,9 @@ impl GraphIndex for GrapesIndex {
             parallel_retain(&ids, threads, |state, gid| {
                 dataset
                     .graph(gid)
-                    .map(|g| Self::verify_candidate(query, &matcher, state, g, locations.get(&gid)))
+                    .map(|g| {
+                        Self::verify_candidate(&matcher, state, connected, g, locations.get(&gid))
+                    })
                     .unwrap_or(false)
             })
         } else {
@@ -318,9 +323,9 @@ impl GraphIndex for GrapesIndex {
                             .graph(gid)
                             .map(|g| {
                                 Self::verify_candidate(
-                                    query,
                                     &matcher,
                                     state,
+                                    connected,
                                     g,
                                     locations.get(&gid),
                                 )
@@ -339,26 +344,14 @@ impl GraphIndex for GrapesIndex {
         }
     }
 
-    fn verify(&self, dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
-        // Direct verification (no location info available for an externally
-        // provided candidate list): parallel whole-graph VF2, one reusable
-        // match state per worker.
-        let matcher = Vf2Matcher::new(query);
-        parallel_retain(candidates, self.config.threads, |state, gid| {
-            dataset
-                .graph(gid)
-                .map(|g| matcher.matches_with(state, g))
-                .unwrap_or(false)
-        })
-    }
-
     fn query(&self, dataset: &Dataset, query: &Graph) -> crate::QueryOutcome {
         let (candidates, locations) = self.filter_with_locations(query);
         let matcher = Vf2Matcher::new(query);
+        let connected = algo::is_connected(query);
         let answers = parallel_retain(&candidates, self.config.threads, |state, gid| {
             dataset
                 .graph(gid)
-                .map(|g| Self::verify_candidate(query, &matcher, state, g, locations.get(&gid)))
+                .map(|g| Self::verify_candidate(&matcher, state, connected, g, locations.get(&gid)))
                 .unwrap_or(false)
         });
         crate::QueryOutcome {
@@ -541,12 +534,14 @@ mod tests {
     }
 
     #[test]
-    fn direct_verify_matches_vf2() {
+    fn verify_set_over_the_full_universe_matches_vf2() {
+        // Unfiltered candidates include graphs without the query's paths,
+        // which have no locations and fall back to whole-graph matching.
         let ds = dataset();
         let idx = GrapesIndex::build(&ds, GrapesConfig::default());
         let q = query(&[1, 2], &[(0, 1)]);
-        let all: Vec<GraphId> = ds.ids().collect();
-        assert_eq!(idx.verify(&ds, &q, &all), exhaustive_answers(&ds, &q));
+        let all = CandidateSet::full(ds.len());
+        assert_eq!(idx.verify_set(&ds, &q, &all), exhaustive_answers(&ds, &q));
     }
 
     #[test]

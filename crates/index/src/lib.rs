@@ -186,9 +186,9 @@ pub struct IndexStats {
 /// implements the borrowed-set filtering entry point [`GraphIndex::filter_into`]
 /// (see the module docs for the contract); `filter` and `query` are thin
 /// default wrappers over it. The default verification uses the VF2
-/// first-match verifier the paper standardizes on; Grapes and CT-Index
-/// override the verification hooks with their specialized procedures, and
-/// Tree+Δ hooks query-time feature learning into [`GraphIndex::verify_set`].
+/// first-match verifier the paper standardizes on, for CT-Index too (see
+/// [`ctindex`]); only Grapes (location-restricted matching) and Tree+Δ
+/// (query-time feature learning) override [`GraphIndex::verify_set`].
 pub trait GraphIndex: Send + Sync {
     /// Which method this index implements.
     fn kind(&self) -> MethodKind;
@@ -268,25 +268,20 @@ pub trait GraphIndex: Send + Sync {
         self.stats().size_bytes
     }
 
-    /// Verification stage: tests `query` against each candidate with the
-    /// shared VF2 verifier (first-match semantics).
-    fn verify(&self, dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
-        vf2_verify(dataset, query, candidates)
-    }
-
-    /// Verification straight off a filtered [`CandidateSet`]: iterates the
-    /// set bits in id order without materializing them as a `Vec`. Methods
-    /// with specialized verification override this — CT-Index's tuned
-    /// matcher, Grapes' location-restricted matching, Tree+Δ's query-time Δ
-    /// learning — so a batch service driving `filter_into` + `verify_set`
-    /// preserves each method's published query semantics.
+    /// Verification stage straight off a filtered [`CandidateSet`]: keeps
+    /// the candidates that contain `query`, in ascending id order, without
+    /// materializing the set as a `Vec`. The default runs the shared VF2
+    /// verifier ([`vf2_verify`]); only Grapes (location-restricted matching)
+    /// and Tree+Δ (query-time Δ learning) override it, so a batch service
+    /// driving `filter_into` + `verify_set` preserves each method's
+    /// published query semantics.
     fn verify_set(
         &self,
         dataset: &Dataset,
         query: &Graph,
         candidates: &CandidateSet,
     ) -> Vec<GraphId> {
-        vf2_verify_set(dataset, query, candidates)
+        vf2_verify(dataset, query, candidates.iter())
     }
 
     /// Full query processing: filtering followed by verification, through
@@ -311,101 +306,29 @@ std::thread_local! {
         std::cell::RefCell::new(MatchState::new());
 }
 
-/// Candidates gathered per block by the verify helpers below. The dataset
-/// stores graphs behind `Arc`, so touching a candidate costs one pointer
-/// hop; a gather pass reads each block candidate's vertex count in a tight
-/// dependency-free loop, so the CPU overlaps those cache misses (and the
-/// match pass finds every graph header hot) instead of serializing each
-/// miss behind a full VF2 run — recovering the indirection cost of the
-/// shared-storage data model on verification-heavy workloads.
-const VERIFY_BLOCK: usize = 64;
-
-/// Runs `matcher` over `candidates` block-wise (gather `&Graph` refs and
-/// vertex counts, then match), appending surviving ids to `answers` in
-/// input order. The gathered vertex count doubles as a sound size
-/// prefilter: a graph with fewer vertices than the query cannot contain
-/// it, so the matcher is never entered for it (`matches_with` would reject
-/// it anyway).
-fn verify_blocks<'d>(
-    dataset: &'d Dataset,
-    matcher: &Vf2Matcher<'_>,
-    state: &mut MatchState,
-    min_vertices: usize,
-    candidates: impl Iterator<Item = GraphId>,
-    answers: &mut Vec<GraphId>,
-) {
-    // Two blocks, double-buffered: candidates gather into `pending` (each
-    // push issues a software prefetch of the graph's label/adjacency
-    // buffers), and once `pending` is full the *previous* block — whose
-    // prefetches were issued one round earlier and have had a full block of
-    // gather work to land — runs through the matcher. The final partial
-    // rounds flush in arrival order to keep `answers` sorted by input order.
-    let mut ready: Vec<(GraphId, &'d Graph)> = Vec::with_capacity(VERIFY_BLOCK);
-    let mut pending: Vec<(GraphId, &'d Graph)> = Vec::with_capacity(VERIFY_BLOCK);
-    let mut flush = |block: &mut Vec<(GraphId, &Graph)>, answers: &mut Vec<GraphId>| {
-        for &(gid, g) in block.iter() {
-            if matcher.matches_with(state, g) {
-                answers.push(gid);
-            }
-        }
-        block.clear();
-    };
-    for gid in candidates {
-        let Ok(g) = dataset.graph(gid) else { continue };
-        // The load that matters: one touch of the graph header per
-        // candidate, issued back to back across the block.
-        if g.vertex_count() >= min_vertices {
-            g.prefetch_hint();
-            pending.push((gid, g));
-            if pending.len() == VERIFY_BLOCK {
-                flush(&mut ready, answers);
-                std::mem::swap(&mut ready, &mut pending);
-            }
-        }
-    }
-    flush(&mut ready, answers);
-    flush(&mut pending, answers);
-}
-
-/// Shared VF2 verification helper: keeps candidates that actually contain
-/// the query, preserving sorted order. The matcher borrows the query (no
+/// Shared VF2 verification helper: keeps the `candidates` that actually
+/// contain the query, in input order. The matcher borrows the query (no
 /// clone) and the search scratch is a per-thread [`MatchState`] reused
 /// across candidates *and* across queries served by the same worker thread.
-pub fn vf2_verify(dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
+/// Removed ids are skipped, and a graph with fewer vertices than the query
+/// is rejected before the matcher is entered (it cannot contain the query).
+pub fn vf2_verify(
+    dataset: &Dataset,
+    query: &Graph,
+    candidates: impl IntoIterator<Item = GraphId>,
+) -> Vec<GraphId> {
     let matcher = Vf2Matcher::new(query);
+    let min_vertices = query.vertex_count();
     VERIFY_STATE.with(|cell| {
         let state = &mut *cell.borrow_mut();
-        let mut answers = Vec::new();
-        verify_blocks(
-            dataset,
-            &matcher,
-            state,
-            query.vertex_count(),
-            candidates.iter().copied(),
-            &mut answers,
-        );
-        answers
-    })
-}
-
-/// Shared VF2 verification over a candidate bitset: keeps the member ids
-/// that actually contain the query, in ascending id order, without ever
-/// materializing the candidate set as a `Vec`. Same matcher/scratch reuse as
-/// [`vf2_verify`] (per-thread [`MatchState`], query borrowed once).
-pub fn vf2_verify_set(dataset: &Dataset, query: &Graph, candidates: &CandidateSet) -> Vec<GraphId> {
-    let matcher = Vf2Matcher::new(query);
-    VERIFY_STATE.with(|cell| {
-        let state = &mut *cell.borrow_mut();
-        let mut answers = Vec::new();
-        verify_blocks(
-            dataset,
-            &matcher,
-            state,
-            query.vertex_count(),
-            candidates.iter(),
-            &mut answers,
-        );
-        answers
+        candidates
+            .into_iter()
+            .filter(|&gid| {
+                dataset.graph(gid).is_ok_and(|g| {
+                    g.vertex_count() >= min_vertices && matcher.matches_with(state, g)
+                })
+            })
+            .collect()
     })
 }
 
@@ -414,8 +337,7 @@ pub fn vf2_verify_set(dataset: &Dataset, query: &Graph, candidates: &CandidateSe
 /// paper uses as the correctness baseline). Quadratically expensive; used
 /// by tests and small-scale experiments only.
 pub fn exhaustive_answers(dataset: &Dataset, query: &Graph) -> Vec<GraphId> {
-    let all: Vec<GraphId> = dataset.ids().collect();
-    vf2_verify(dataset, query, &all)
+    vf2_verify(dataset, query, dataset.ids())
 }
 
 /// Builds an index of the requested method over `dataset` using the given
@@ -510,14 +432,14 @@ mod tests {
             .edge(0, 1)
             .build()
             .unwrap();
-        let verified = vf2_verify(&ds, &q, &[0, 1]);
+        let verified = vf2_verify(&ds, &q, [0, 1]);
         assert_eq!(verified, vec![0, 1]);
         let q2 = GraphBuilder::new("q2")
             .vertices(&[2, 3])
             .edge(0, 1)
             .build()
             .unwrap();
-        assert_eq!(vf2_verify(&ds, &q2, &[0, 1]), vec![1]);
+        assert_eq!(vf2_verify(&ds, &q2, [0, 1]), vec![1]);
     }
 
     #[test]
